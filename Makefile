@@ -10,11 +10,13 @@ race:
 	$(GO) test -race ./internal/deferment/ ./internal/engine/ ./internal/wal/ ./internal/overload/ ./internal/server/ ./internal/shard/ ./internal/chaos/ ./internal/bench/
 
 # Microbenchmarks with allocation counts: the wire codec, the WAL
-# append/flush path, and the engine phase loop.
+# append/flush path, the engine phase loop, and the conflict-graph
+# build at the served bundle shapes.
 bench-micro:
 	$(GO) test -run xxx -bench 'BenchmarkWire' -benchmem ./internal/client/
 	$(GO) test -run xxx -bench 'BenchmarkWALFlush' -benchmem ./internal/wal/
 	$(GO) test -run xxx -bench 'BenchmarkPhaseLoop' -benchmem ./internal/engine/
+	$(GO) test -run xxx -bench 'BenchmarkConflictBuild' -benchmem ./internal/conflict/
 
 # End-to-end serve-path baseline: boots an in-process server, drives it
 # over TCP, and rewrites BENCH_serve.json (the old "current" becomes

@@ -5,13 +5,41 @@
 // Under serializability, T and T' conflict iff they access a common
 // data item and at least one of them writes it. Under snapshot
 // isolation, they conflict iff their write sets intersect. The graph is
-// built once per bundle with an inverted key index (not pairwise
-// comparison), the same strategy partitioners such as Schism use, and
-// is reused by TSgen exactly as the paper prescribes.
+// built once per bundle and reused by the partitioner and TSgen exactly
+// as the paper prescribes.
+//
+// # Layout
+//
+// A Graph is in compressed-sparse-row form: three flat []int32 arrays
+// off (n+1 entries), nbr and wgt, where row id occupies
+// nbr[off[id]:off[id+1]] (neighbor IDs, strictly ascending) and the
+// same range of wgt (the weight of each of those edges). Neighbors and
+// Weights return those ranges as sub-slices; every undirected edge is
+// stored in both of its rows, so len(nbr) == 2*Edges().
+//
+// # Edge weight
+//
+// The weight of edge {a,b} is the number of (key, access of a, access
+// of b) combinations in which at least one access is a write, where a
+// transaction has one read access per key of its ReadSet (ignored under
+// snapshot isolation) and one write access per key of its WriteSet. Two
+// read-modify-writes of one key therefore weigh 3 (RW, WR, WW), a
+// blind write against a read weighs 1. Schism cuts by these weights.
+//
+// # Builder reuse and graph lifetime
+//
+// A Builder keeps the key index, the row accumulators and the CSR
+// arrays between calls, so a warmed Builder builds without allocating.
+// The price is the lifetime rule: the Graph returned by Builder.Build,
+// and every slice obtained from it, is overwritten by the next Build on
+// the same Builder. Build (the package function) uses a fresh Builder
+// and so returns a graph with no such limit. A Builder is not safe for
+// concurrent use; a Graph is read-only and is.
 package conflict
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"tskd/internal/txn"
@@ -66,113 +94,274 @@ func intersects(a, b []txn.Key) bool {
 
 // Graph is the undirected conflict graph of a workload: nodes are
 // transactions (addressed by their dense IDs), and an edge joins every
-// conflicting pair. Neighbor lists are sorted for O(log d) membership
-// tests.
+// conflicting pair. Rows are sorted for O(log d) membership tests. See
+// the package comment for the layout and the weight definition.
 type Graph struct {
 	level Isolation
-	adj   [][]int32
-	// wgt[i][j] is the weight of the edge to adj[i][j]: the number of
-	// conflicting (key, accessor-pair) combinations behind it. Schism
-	// cuts by weight.
-	wgt   [][]int32
-	edges int
+	off   []int32 // row id is [off[id], off[id+1]) of nbr and wgt
+	nbr   []int32
+	wgt   []int32
 }
 
 // Build constructs the conflict graph for w under the given isolation
 // level. Transaction IDs must be dense in [0, len(w)); Build panics
 // otherwise, since every consumer indexes by ID.
 func Build(w txn.Workload, level Isolation) *Graph {
-	n := len(w)
-	g := &Graph{level: level, adj: make([][]int32, n)}
+	g := *new(Builder).Build(w, level) // copied out so the scratch is not kept alive
+	return &g
+}
 
-	type access struct {
-		id    int32
-		write bool
-	}
-	// Inverted index: key -> transactions touching it.
-	index := make(map[txn.Key][]access)
+// Builder builds conflict graphs, reusing its scratch and the graph's
+// own arrays from one Build to the next. The zero value is ready.
+type Builder struct {
+	g Graph
+
+	// Key interning: an open-addressing table from key to a dense key
+	// number, rebuilt per bundle. slot holds key number + 1, 0 = empty.
+	slot []int32
+	keys []txn.Key
+
+	// Per transaction ID, the key numbers of its accesses: reads in
+	// ref[tOff[id]:tMid[id]], writes in ref[tMid[id]:tOff[id+1]].
+	byID []*txn.Transaction
+	ref  []int32
+	tOff []int32
+	tMid []int32
+
+	// Per key number k, the IDs of the transactions accessing it, one
+	// entry per access: readers in acc[kEnd[k]:kWr[k]], then writers in
+	// acc[kWr[k]:kEnd[k+1]], each run in ascending order. A
+	// read-modify-write is in both runs.
+	acc  []int32
+	kEnd []int32
+	kWr  []int32
+
+	// Row accumulators: cnt[o] is the weight gathered so far for the
+	// edge to o, seen has bit o set iff cnt[o] may be non-zero. Both
+	// are all-zero between rows.
+	cnt  []int32
+	seen []uint64
+}
+
+// Build constructs the conflict graph for w like the package-level
+// Build, into storage the next call reuses: the returned graph is valid
+// only until then.
+func (b *Builder) Build(w txn.Workload, level Isolation) *Graph {
+	n := len(w)
+	b.byID = grow(b.byID, n)
+	clear(b.byID)
+	accesses := 0
 	for _, t := range w {
 		if t.ID < 0 || t.ID >= n {
 			panic(fmt.Sprintf("conflict: transaction ID %d outside [0,%d)", t.ID, n))
 		}
-		for _, k := range t.ReadSet() {
-			if level == Serializability {
-				index[k] = append(index[k], access{int32(t.ID), false})
-			}
+		if b.byID[t.ID] != nil {
+			panic(fmt.Sprintf("conflict: transaction ID %d appears twice", t.ID))
 		}
-		for _, k := range t.WriteSet() {
-			index[k] = append(index[k], access{int32(t.ID), true})
+		b.byID[t.ID] = t
+		if level == Serializability {
+			accesses += len(t.ReadSet())
 		}
+		accesses += len(t.WriteSet())
 	}
+	b.index(level, accesses)
+	clear(b.byID) // do not pin the bundle's transactions
 
-	// For each key, connect every writer to every other accessor,
-	// accumulating per-pair weights (shared contended items).
-	weight := make(map[uint64]int32)
-	for _, accs := range index {
-		for i, a := range accs {
-			for _, b := range accs[i+1:] {
-				if a.id == b.id || (!a.write && !b.write) {
-					continue
-				}
-				lo, hi := a.id, b.id
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				weight[uint64(lo)<<32|uint64(uint32(hi))]++
+	// One row per transaction: every writer of a key it reads and every
+	// accessor of a key it writes gains one unit of weight per access.
+	// Sweeping the bitset in word order emits the row sorted.
+	g := &b.g
+	g.level = level
+	g.off = grow(g.off, n+1)
+	g.nbr = grow(g.nbr, b.rowBound())
+	g.wgt = grow(g.wgt, len(g.nbr))
+	b.cnt = grow(b.cnt, n)
+	b.seen = grow(b.seen, (n+63)/64)
+	cnt, seen := b.cnt, b.seen
+	e := 0
+	for id := 0; id < n; id++ {
+		g.off[id] = int32(e)
+		lo, mid, hi := b.tOff[id], b.tMid[id], b.tOff[id+1]
+		for _, k := range b.ref[lo:mid] {
+			tally(b.acc[b.kWr[k]:b.kEnd[k+1]], cnt, seen)
+		}
+		for _, k := range b.ref[mid:hi] {
+			tally(b.acc[b.kEnd[k]:b.kEnd[k+1]], cnt, seen)
+		}
+		cnt[id] = 0 // no self edge
+		seen[id>>6] &^= 1 << (id & 63)
+		for wi, word := range seen {
+			if word == 0 {
+				continue
+			}
+			seen[wi] = 0
+			for ; word != 0; word &= word - 1 {
+				o := int32(wi<<6 | bits.TrailingZeros64(word))
+				g.nbr[e], g.wgt[e] = o, cnt[o]
+				cnt[o] = 0
+				e++
 			}
 		}
 	}
-	g.wgt = make([][]int32, n)
-	for ek, wv := range weight {
-		lo, hi := int32(ek>>32), int32(uint32(ek))
-		g.adj[lo] = append(g.adj[lo], hi)
-		g.adj[hi] = append(g.adj[hi], lo)
-		g.wgt[lo] = append(g.wgt[lo], wv)
-		g.wgt[hi] = append(g.wgt[hi], wv)
-		g.edges++
-	}
-	for i := range g.adj {
-		// Co-sort adjacency and weights by neighbor id.
-		idx := make([]int, len(g.adj[i]))
-		for j := range idx {
-			idx[j] = j
-		}
-		sort.Slice(idx, func(a, b int) bool { return g.adj[i][idx[a]] < g.adj[i][idx[b]] })
-		na := make([]int32, len(idx))
-		nw := make([]int32, len(idx))
-		for j, k := range idx {
-			na[j] = g.adj[i][k]
-			nw[j] = g.wgt[i][k]
-		}
-		g.adj[i], g.wgt[i] = na, nw
-	}
+	g.off[n] = int32(e)
+	g.nbr, g.wgt = g.nbr[:e], g.wgt[:e]
 	return g
 }
 
-// Weights returns the edge weights parallel to Neighbors(id): the
-// number of contended-item pairs behind each conflict edge. Callers
-// must not mutate the result.
-func (g *Graph) Weights(id int) []int32 { return g.wgt[id] }
+// tally adds one unit of weight for every entry of list.
+func tally(list, cnt []int32, seen []uint64) {
+	for _, o := range list {
+		cnt[o]++
+		seen[o>>6] |= 1 << (o & 63)
+	}
+}
+
+// index interns the keys of the transactions in b.byID and fills the
+// per-transaction key references and the per-key accessor lists.
+// accesses is the total number of (transaction, key) accesses that
+// count under level.
+func (b *Builder) index(level Isolation, accesses int) {
+	n := len(b.byID)
+	// At most half full, so linear probes stay short.
+	shift := 64 - bits.Len(uint(2*accesses))
+	b.slot = grow(b.slot, 1<<(64-shift))
+	clear(b.slot)
+	b.keys = b.keys[:0]
+	b.ref = grow(b.ref, accesses)
+	b.tOff = grow(b.tOff, n+1)
+	b.tMid = grow(b.tMid, n)
+	// First count: kWr[k] readers, kEnd[k+1] writers of key k.
+	b.kEnd = grow(b.kEnd, accesses+1)
+	b.kWr = grow(b.kWr, accesses)
+	clear(b.kEnd)
+	clear(b.kWr)
+	pos := int32(0)
+	for id, t := range b.byID {
+		b.tOff[id] = pos
+		if level == Serializability {
+			for _, key := range t.ReadSet() {
+				k := b.intern(key, shift)
+				b.ref[pos] = k
+				pos++
+				b.kWr[k]++
+			}
+		}
+		b.tMid[id] = pos
+		for _, key := range t.WriteSet() {
+			k := b.intern(key, shift)
+			b.ref[pos] = k
+			pos++
+			b.kEnd[k+1]++
+		}
+	}
+	b.tOff[n] = pos
+
+	// Then turn the counts into fill cursors: kWr[k] to where key k's
+	// readers start, kEnd[k+1] to where its writers start. Filling
+	// advances each by the count it replaced, which leaves kWr[k] at the
+	// writers' start and kEnd[k+1] at the list's end, the next list's
+	// start; kEnd[0] stays 0.
+	nk := len(b.keys)
+	b.kEnd, b.kWr = b.kEnd[:nk+1], b.kWr[:nk]
+	pos = 0
+	for k := range b.kWr {
+		readers, writers := b.kWr[k], b.kEnd[k+1]
+		b.kWr[k] = pos
+		pos += readers
+		b.kEnd[k+1] = pos
+		pos += writers
+	}
+	b.acc = grow(b.acc, accesses)
+	for id := range b.byID {
+		lo, mid, hi := b.tOff[id], b.tMid[id], b.tOff[id+1]
+		for _, k := range b.ref[lo:mid] {
+			b.acc[b.kWr[k]] = int32(id)
+			b.kWr[k]++
+		}
+		for _, k := range b.ref[mid:hi] {
+			b.acc[b.kEnd[k+1]] = int32(id)
+			b.kEnd[k+1]++
+		}
+	}
+}
+
+// rowBound returns an upper bound on the total length of all rows: a
+// row has at most one entry per list element its transaction visits,
+// and never more than every other transaction. Sizing the CSR arrays
+// by it lets rows be written in place; it is tight on dense graphs
+// (the second cap) and within the mean edge weight on sparse ones.
+func (b *Builder) rowBound() int {
+	n := len(b.tMid)
+	total := 0
+	for id := 0; id < n; id++ {
+		visits := 0
+		for _, k := range b.ref[b.tOff[id]:b.tMid[id]] {
+			visits += int(b.kEnd[k+1] - b.kWr[k])
+		}
+		for _, k := range b.ref[b.tMid[id]:b.tOff[id+1]] {
+			visits += int(b.kEnd[k+1] - b.kEnd[k])
+		}
+		total += min(visits, n-1)
+	}
+	return total
+}
+
+// intern returns the dense number of key, assigning the next one on
+// first sight.
+func (b *Builder) intern(key txn.Key, shift int) int32 {
+	mask := uint64(len(b.slot) - 1)
+	for i := uint64(key) * 0x9E3779B97F4A7C15 >> shift; ; i = (i + 1) & mask {
+		switch s := b.slot[i]; {
+		case s == 0:
+			b.keys = append(b.keys, key)
+			b.slot[i] = int32(len(b.keys))
+			return int32(len(b.keys) - 1)
+		case b.keys[s-1] == key:
+			return s - 1
+		}
+	}
+}
+
+// grow returns s with length n, reallocating only when the capacity
+// falls short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Weights returns the edge weights parallel to Neighbors(id) (see the
+// package comment for the definition). Callers must not mutate the
+// result.
+func (g *Graph) Weights(id int) []int32 { return row(g.wgt, g.off, id) }
 
 // Level returns the isolation level the graph was built under.
 func (g *Graph) Level() Isolation { return g.level }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.off) - 1 }
 
 // Edges returns the number of undirected edges.
-func (g *Graph) Edges() int { return g.edges }
+func (g *Graph) Edges() int { return len(g.nbr) / 2 }
 
 // Neighbors returns the sorted IDs of transactions in conflict with id.
 // Callers must not mutate the result.
-func (g *Graph) Neighbors(id int) []int32 { return g.adj[id] }
+func (g *Graph) Neighbors(id int) []int32 { return row(g.nbr, g.off, id) }
 
 // Degree returns the number of conflicts of id.
-func (g *Graph) Degree(id int) int { return len(g.adj[id]) }
+func (g *Graph) Degree(id int) int { return int(g.off[id+1] - g.off[id]) }
 
 // Conflict reports whether transactions a and b are joined by an edge.
 func (g *Graph) Conflict(a, b int) bool {
-	ns := g.adj[a]
+	ns := g.Neighbors(a)
 	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= int32(b) })
 	return i < len(ns) && ns[i] == int32(b)
+}
+
+// row returns row id of a CSR array, capped so an append by the caller
+// cannot reach the next row.
+func row(a, off []int32, id int) []int32 {
+	lo, hi := off[id], off[id+1]
+	return a[lo:hi:hi]
 }

@@ -2,6 +2,7 @@ package conflict
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -110,41 +111,189 @@ func TestGraphExample1(t *testing.T) {
 	}
 }
 
-func TestGraphMatchesPairwiseQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(20) + 2
-		w := make(txn.Workload, n)
-		for i := range w {
-			tx := txn.New(i)
-			for j, m := 0, r.Intn(6); j < m; j++ {
-				k := txn.MakeKey(0, uint64(r.Intn(8)))
-				if r.Intn(2) == 0 {
-					tx.R(k)
-				} else {
-					tx.W(k)
-				}
-			}
-			w[i] = tx
-		}
-		for _, lvl := range []Isolation{Serializability, SnapshotIsolation} {
-			g := Build(w, lvl)
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if i == j {
-						continue
-					}
-					if g.Conflict(i, j) != Conflicting(w[i], w[j], lvl) {
-						return false
-					}
+// refWeight counts, by definition, the (key, access of a, access of b)
+// combinations with at least one writer that count under level.
+func refWeight(a, b *txn.Transaction, level Isolation) int32 {
+	var n int32
+	common := func(x, y []txn.Key) {
+		for _, kx := range x {
+			for _, ky := range y {
+				if kx == ky {
+					n++
 				}
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	common(a.WriteSet(), b.WriteSet())
+	if level == Serializability {
+		common(a.ReadSet(), b.WriteSet())
+		common(a.WriteSet(), b.ReadSet())
 	}
+	return n
+}
+
+// checkGraph compares g against the pairwise definitions for every
+// pair of w: membership, weights, row order, symmetry, edge count.
+func checkGraph(t *testing.T, w txn.Workload, level Isolation, g *Graph) {
+	t.Helper()
+	if g.N() != len(w) || g.Level() != level {
+		t.Fatalf("N = %d, Level = %v; want %d, %v", g.N(), g.Level(), len(w), level)
+	}
+	byID := make([]*txn.Transaction, len(w))
+	for _, tx := range w {
+		byID[tx.ID] = tx
+	}
+	pairs := 0
+	for a := range byID {
+		ns, ws := g.Neighbors(a), g.Weights(a)
+		if len(ns) != len(ws) || len(ns) != g.Degree(a) {
+			t.Fatalf("row %d: %d neighbors, %d weights, degree %d", a, len(ns), len(ws), g.Degree(a))
+		}
+		at := 0
+		for b := range byID {
+			want := a != b && Conflicting(byID[a], byID[b], level)
+			if got := g.Conflict(a, b); got != want {
+				t.Fatalf("Conflict(%d,%d) = %v, Conflicting = %v", a, b, got, want)
+			}
+			if !want {
+				continue
+			}
+			if a < b {
+				pairs++
+			}
+			// Walking b upwards, the row must list exactly the
+			// conflicting IDs, in that order.
+			if at >= len(ns) || int(ns[at]) != b {
+				t.Fatalf("row %d = %v: entry %d is not %d (unsorted, duplicate or missing)", a, ns, at, b)
+			}
+			if rw := refWeight(byID[a], byID[b], level); ws[at] != rw {
+				t.Fatalf("weight(%d,%d) = %d, want %d", a, b, ws[at], rw)
+			}
+			at++
+		}
+		if at != len(ns) {
+			t.Fatalf("row %d = %v has %d entries beyond the conflicting pairs", a, ns, len(ns)-at)
+		}
+	}
+	if g.Edges() != pairs {
+		t.Fatalf("Edges = %d, want %d", g.Edges(), pairs)
+	}
+}
+
+// randomBundle draws n transactions over a small key space so that
+// keys collide: reads, blind writes, read-modify-writes (the key sits
+// in both sets) and repeated keys within a transaction. With hot, every
+// transaction also touches key 0. IDs are dense but w is shuffled.
+func randomBundle(r *rand.Rand, n int, hot bool) txn.Workload {
+	w := make(txn.Workload, n)
+	for i := range w {
+		tx := txn.New(i)
+		for j, m := 0, r.Intn(7); j < m; j++ {
+			k := txn.MakeKey(0, uint64(1+r.Intn(12)))
+			switch r.Intn(4) {
+			case 0:
+				tx.R(k)
+			case 1:
+				tx.W(k)
+			case 2:
+				tx.U(k, 1)
+			case 3:
+				tx.R(k).W(k).R(k)
+			}
+		}
+		if hot {
+			if k := txn.MakeKey(0, 0); r.Intn(2) == 0 {
+				tx.R(k)
+			} else {
+				tx.U(k, 1)
+			}
+		}
+		w[i] = tx
+	}
+	r.Shuffle(n, func(i, j int) { w[i], w[j] = w[j], w[i] })
+	return w
+}
+
+func TestGraphMatchesPairwise(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	// 63, 64 and 65 straddle a word of the row bitset.
+	for _, n := range []int{0, 1, 2, 20, 63, 64, 65, 130} {
+		for _, hot := range []bool{false, true} {
+			for _, lvl := range []Isolation{Serializability, SnapshotIsolation} {
+				w := randomBundle(r, n, hot)
+				checkGraph(t, w, lvl, Build(w, lvl))
+			}
+		}
+	}
+}
+
+// TestBuilderReuse feeds one Builder a hot, a sparse and again a hot
+// bundle of different sizes: a counter, bit, index slot or row left
+// over from an earlier bundle would show as a wrong edge or weight.
+func TestBuilderReuse(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	var b Builder
+	for round := 0; round < 3; round++ {
+		for _, c := range []struct {
+			n   int
+			hot bool
+		}{{130, true}, {65, false}, {0, false}, {100, true}} {
+			for _, lvl := range []Isolation{Serializability, SnapshotIsolation} {
+				w := randomBundle(r, c.n, c.hot)
+				checkGraph(t, w, lvl, b.Build(w, lvl))
+			}
+		}
+	}
+}
+
+// FuzzBuildParity decodes the input into a bundle and checks the graph
+// against the pairwise definitions. Byte 0 picks the isolation level
+// and whether w is reversed; 0xff ends a transaction; any other byte is
+// one operation (top two bits: read, write, update, insert) on one of
+// 64 keys.
+func FuzzBuildParity(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0x01, 0x41, 0x81, 0xff, 0x01, 0xff, 0x41})
+	f.Add([]byte{3, 0x85, 0x85, 0xff, 0x85, 0x05, 0xff, 0xff, 0x45})
+	everyTxnOneKey := []byte{1}
+	for i := 0; i < 65; i++ {
+		everyTxnOneKey = append(everyTxnOneKey, 0x80, byte(i%64), 0xff)
+	}
+	f.Add(everyTxnOneKey)
+	var b Builder
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var flags byte
+		if len(data) > 0 {
+			flags, data = data[0], data[1:]
+		}
+		w := txn.Workload{txn.New(0)}
+		for _, c := range data {
+			if c == 0xff {
+				if len(w) == 200 {
+					break
+				}
+				w = append(w, txn.New(len(w)))
+				continue
+			}
+			tx, k := w[len(w)-1], txn.MakeKey(0, uint64(c&0x3f))
+			switch c >> 6 {
+			case 0:
+				tx.R(k)
+			case 1:
+				tx.W(k)
+			case 2:
+				tx.U(k, 1)
+			case 3:
+				tx.I(k)
+			}
+		}
+		if flags&2 != 0 {
+			slices.Reverse(w)
+		}
+		lvl := Isolation(flags & 1)
+		checkGraph(t, w, lvl, Build(w, lvl))
+		checkGraph(t, w, lvl, b.Build(w, lvl))
+	})
 }
 
 func TestGraphNoSelfEdges(t *testing.T) {
@@ -185,12 +334,20 @@ func TestGraphSnapshotLevel(t *testing.T) {
 }
 
 func TestBuildPanicsOnSparseIDs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Build with sparse IDs did not panic")
-		}
-	}()
-	Build(txn.Workload{txn.New(5)}, Serializability)
+	for name, w := range map[string]txn.Workload{
+		"out of range": {txn.New(5)},
+		"negative":     {txn.New(-1)},
+		"duplicate":    {txn.New(0), txn.New(0)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Build with non-dense IDs did not panic", name)
+				}
+			}()
+			Build(w, Serializability)
+		}()
+	}
 }
 
 func TestNeighborsSorted(t *testing.T) {

@@ -75,6 +75,10 @@ type Options struct {
 	Brownout bool
 	// Seed drives all randomized pieces.
 	Seed int64
+
+	// graphs, set by Pipeline, builds each bundle's conflict graph in
+	// storage reused from the previous bundle; nil builds a fresh one.
+	graphs *conflict.Builder
 }
 
 // normalized fills the defaults that every entry point shares: the
@@ -86,6 +90,17 @@ func (o Options) normalized() Options {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
+}
+
+// conflictGraph builds the conflict graph of w. Under a Pipeline the
+// graph lives in the pipeline's Builder and is overwritten by the next
+// bundle, so nothing that outlives the Run* call (a Result, a learned
+// cost) may keep it or a slice of it.
+func (o Options) conflictGraph(w txn.Workload) *conflict.Graph {
+	if o.graphs != nil {
+		return o.graphs.Build(w, o.Isolation)
+	}
+	return conflict.Build(w, o.Isolation)
 }
 
 func (o Options) protocol() (cc.Protocol, error) {
@@ -156,7 +171,7 @@ func RunBaseline(db *storage.DB, w txn.Workload, p partition.Partitioner, o Opti
 		return Result{}, err
 	}
 	t0 := time.Now()
-	g := conflict.Build(w, o.Isolation)
+	g := o.conflictGraph(w)
 	plan := p.Partition(w, g, o.Workers)
 	partTime := time.Since(t0)
 
@@ -190,7 +205,7 @@ func RunTSKD(db *storage.DB, w txn.Workload, p partition.Partitioner, o Options)
 		return Result{}, err
 	}
 	t0 := time.Now()
-	g := conflict.Build(w, o.Isolation)
+	g := o.conflictGraph(w)
 	var plan *partition.Plan
 	name := "TSKD[0]"
 	if p != nil {
@@ -271,7 +286,7 @@ func RunTSKDNoCC(db *storage.DB, w txn.Workload, p partition.Partitioner, o Opti
 		return Result{}, err
 	}
 	t0 := time.Now()
-	g := conflict.Build(w, o.Isolation)
+	g := o.conflictGraph(w)
 	var plan *partition.Plan
 	if p != nil {
 		plan = p.Partition(w, g, o.Workers)
@@ -332,7 +347,7 @@ func RunTsDeferOnly(db *storage.DB, w txn.Workload, p partition.Partitioner, o O
 		return Result{}, err
 	}
 	t0 := time.Now()
-	g := conflict.Build(w, o.Isolation)
+	g := o.conflictGraph(w)
 	plan := p.Partition(w, g, o.Workers)
 	partTime := time.Since(t0)
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"tskd/internal/conflict"
 	"tskd/internal/estimator"
 	"tskd/internal/partition"
 	"tskd/internal/storage"
@@ -26,6 +27,7 @@ type Pipeline struct {
 	Opts Options
 
 	history  *estimator.History
+	graphs   conflict.Builder // conflict-graph storage, reused bundle after bundle
 	bundles  int
 	brownout bool
 }
@@ -49,7 +51,10 @@ func (pl *Pipeline) HistorySize() int { return pl.history.Len() }
 // Process — the serving layer's bundler — between bundles.
 func (pl *Pipeline) SetBrownout(on bool) { pl.brownout = on }
 
-// Process schedules and executes one bundle, learning its costs.
+// Process schedules and executes one bundle, learning its costs. The
+// bundle's conflict graph is built in the pipeline's own storage and
+// lives for this call only: the next Process overwrites it, so like
+// SetBrownout, Process must not be called concurrently.
 func (pl *Pipeline) Process(w txn.Workload) (Result, error) {
 	return pl.ProcessContext(context.Background(), w)
 }
@@ -65,6 +70,7 @@ func (pl *Pipeline) ProcessContext(ctx context.Context, w txn.Workload) (Result,
 	o.CostSink = pl.history
 	o.Seed = pl.Opts.Seed + int64(pl.bundles)*7919
 	o.Brownout = pl.brownout
+	o.graphs = &pl.graphs
 	res, err := RunTSKD(pl.DB, w, pl.Partitioner, o)
 	if err != nil {
 		return Result{}, err

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tskd/internal/conflict"
@@ -192,8 +193,30 @@ func TestSchismBalance(t *testing.T) {
 	w := synthetic(800, 400, 8, 0.8, 3)
 	g := conflict.Build(w, conflict.Serializability)
 	p := NewSchism(3).Partition(w, g, 4)
+	// A fixed seed gives one plan (TestSchismDeterministic); this one's
+	// ratio is 2.79. The limit is not a property of every seed: the
+	// 25% capacity slack bounds the heaviest part only, and seed 7
+	// leaves the lightest at a quarter of it (4.03).
 	if r := p.LoadRatio(); r > 3.0 {
 		t.Errorf("load ratio %.2f too imbalanced", r)
+	}
+}
+
+// TestSchismDeterministic checks that the plan depends on the input and
+// the seed alone: heavy-edge matching breaks weight ties by neighbor
+// order, which used to be Go's map iteration order.
+func TestSchismDeterministic(t *testing.T) {
+	w := synthetic(800, 400, 8, 0.8, 3)
+	g := conflict.Build(w, conflict.Serializability)
+	want := NewSchism(3).Partition(w, g, 4)
+	for run := 0; run < 5; run++ {
+		got := NewSchism(3).Partition(w, g, 4)
+		for i := range want.Parts {
+			if !slices.Equal(got.Parts[i], want.Parts[i]) {
+				t.Fatalf("run %d: part %d differs from the first run's (%d vs %d transactions)",
+					run, i, len(got.Parts[i]), len(want.Parts[i]))
+			}
+		}
 	}
 }
 

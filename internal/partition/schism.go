@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"tskd/internal/conflict"
@@ -34,37 +35,34 @@ func (s *Schism) Name() string { return "SCHISM" }
 
 // coarseGraph is the working representation during multilevel
 // partitioning: weighted vertices (transaction op counts) and weighted
-// adjacency.
+// adjacency. Rows are sorted by neighbor and always walked in that
+// order, so a run depends on Seed alone.
 type coarseGraph struct {
-	vwgt []int         // vertex weights
-	adj  []map[int]int // adjacency with edge weights
+	vwgt []int // vertex weights
+	// adj[v] lists v's neighbors in ascending order and wgt[v] the
+	// weights of those edges.
+	adj, wgt [][]int32
 	// members maps each coarse vertex to the original transaction
 	// indices it contains.
 	members [][]int32
 }
 
+// buildCoarse wraps the conflict graph as the finest level; its rows
+// are g's own, not copies.
 func buildCoarse(w txn.Workload, g *conflict.Graph) *coarseGraph {
 	n := len(w)
 	cg := &coarseGraph{
 		vwgt:    make([]int, n),
-		adj:     make([]map[int]int, n),
+		adj:     make([][]int32, n),
+		wgt:     make([][]int32, n),
 		members: make([][]int32, n),
 	}
-	for i, t := range w {
+	for _, t := range w {
 		cg.vwgt[t.ID] = t.Len()
 		cg.members[t.ID] = []int32{int32(t.ID)}
-		_ = i
 	}
-	for v := 0; v < n; v++ {
-		if deg := g.Degree(v); deg > 0 {
-			cg.adj[v] = make(map[int]int, deg)
-			ws := g.Weights(v)
-			for i, u := range g.Neighbors(v) {
-				cg.adj[v][int(u)] = int(ws[i])
-			}
-		} else {
-			cg.adj[v] = map[int]int{}
-		}
+	for v := range cg.adj {
+		cg.adj[v], cg.wgt[v] = g.Neighbors(v), g.Weights(v)
 	}
 	return cg
 }
@@ -78,16 +76,15 @@ func (cg *coarseGraph) coarsen(rng *rand.Rand) (*coarseGraph, bool) {
 	for i := range match {
 		match[i] = -1
 	}
-	order := rng.Perm(n)
 	merged := 0
-	for _, v := range order {
+	for _, v := range rng.Perm(n) {
 		if match[v] >= 0 {
 			continue
 		}
-		best, bestW := -1, 0
-		for u, w := range cg.adj[v] {
-			if match[u] < 0 && u != v && w > bestW {
-				best, bestW = u, w
+		best, bestW := -1, int32(0)
+		for i, u := range cg.adj[v] {
+			if match[u] < 0 && cg.wgt[v][i] > bestW {
+				best, bestW = int(u), cg.wgt[v][i]
 			}
 		}
 		if best >= 0 {
@@ -98,40 +95,62 @@ func (cg *coarseGraph) coarsen(rng *rand.Rand) (*coarseGraph, bool) {
 	if merged == 0 {
 		return cg, false
 	}
-	// Build the coarser graph.
-	newID := make([]int, n)
-	for i := range newID {
-		newID[i] = -1
-	}
+	// Number the coarse vertices by their lowest member.
+	newID := make([]int32, n)
 	next := 0
+	entries := 0
 	for v := 0; v < n; v++ {
-		if newID[v] >= 0 {
+		entries += len(cg.adj[v])
+		if m := match[v]; m >= 0 && m < v {
+			newID[v] = newID[m]
 			continue
 		}
-		newID[v] = next
-		if m := match[v]; m >= 0 {
-			newID[m] = next
-		}
+		newID[v] = int32(next)
 		next++
 	}
 	out := &coarseGraph{
 		vwgt:    make([]int, next),
-		adj:     make([]map[int]int, next),
+		adj:     make([][]int32, next),
+		wgt:     make([][]int32, next),
 		members: make([][]int32, next),
 	}
-	for i := range out.adj {
-		out.adj[i] = map[int]int{}
+	// Merged rows never hold more entries than the rows they merge, so
+	// these two never reallocate under the row slices taken from them.
+	nbr := make([]int32, 0, entries)
+	wgt := make([]int32, 0, entries)
+	sum := make([]int32, next) // edge weight gathered per coarse neighbor
+	absorb := func(nv int32, x int) {
+		out.vwgt[nv] += cg.vwgt[x]
+		out.members[nv] = append(out.members[nv], cg.members[x]...)
+		for i, u := range cg.adj[x] {
+			nu := newID[u]
+			if nu == nv {
+				continue
+			}
+			if sum[nu] == 0 {
+				nbr = append(nbr, nu)
+			}
+			sum[nu] += cg.wgt[x][i]
+		}
 	}
 	for v := 0; v < n; v++ {
-		nv := newID[v]
-		out.vwgt[nv] += cg.vwgt[v]
-		out.members[nv] = append(out.members[nv], cg.members[v]...)
-		for u, w := range cg.adj[v] {
-			nu := newID[u]
-			if nu != nv {
-				out.adj[nv][nu] += w
-			}
+		m := match[v]
+		if m >= 0 && m < v {
+			continue // merged into m's vertex
 		}
+		nv := newID[v]
+		lo := len(nbr)
+		absorb(nv, v)
+		if m >= 0 {
+			absorb(nv, m)
+		}
+		row := nbr[lo:len(nbr):len(nbr)]
+		slices.Sort(row)
+		for _, nu := range row {
+			wgt = append(wgt, sum[nu])
+			sum[nu] = 0
+		}
+		out.adj[nv], out.wgt[nv] = row, wgt[lo:len(wgt):len(wgt)]
 	}
 	return out, true
 }
@@ -184,9 +203,9 @@ func (s *Schism) Partition(w txn.Workload, g *conflict.Graph, k int) *Plan {
 				continue
 			}
 			score := 0
-			for u, ew := range cg.adj[v] {
+			for i, u := range cg.adj[v] {
 				if part[u] == p {
-					score += ew
+					score += int(cg.wgt[v][i])
 				}
 			}
 			// Prefer connectivity, break ties toward lighter load.
@@ -212,8 +231,8 @@ func (s *Schism) Partition(w txn.Workload, g *conflict.Graph, k int) *Plan {
 		for v := 0; v < n; v++ {
 			cur := part[v]
 			gain := make([]int, k)
-			for u, ew := range cg.adj[v] {
-				gain[part[u]] += ew
+			for i, u := range cg.adj[v] {
+				gain[part[u]] += int(cg.wgt[v][i])
 			}
 			bestP := cur
 			for p := 0; p < k; p++ {

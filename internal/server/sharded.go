@@ -138,6 +138,7 @@ func (s *Server) mergeShardStats(st *Stats) {
 		st.Bundles += int(sh.Bundles)
 		st.Committed += sh.Committed
 		st.Retries += sh.Retries
+		st.Defers += sh.Defers
 		st.UserAborts += sh.UserAborts
 		st.Canceled += sh.Canceled
 		st.Contended += sh.Contended

@@ -186,6 +186,49 @@ func TestShardedEndToEnd(t *testing.T) {
 	}
 }
 
+// TestShardedStatsRollUpDefers pipelines hot single-shard traffic into
+// a 2-shard server, so every unit's bundles hold transactions that
+// contend and TsDEFER fires, and checks that the per-shard defer
+// counters exist and roll up into the flat Stats.
+func TestShardedStatsRollUpDefers(t *testing.T) {
+	const shards, n = 2, 1500
+	s, ycsb := startSharded(t, shards, func(c *Config) { c.Bundle = 128 })
+	defer s.Shutdown(context.Background())
+	ycsb.Theta, ycsb.OpsPerTxn = 0.99, 16
+
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{Window: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	reqs, _ := genShardedRequests(t, ycsb, shards, n, 0, 41)
+	var wg sync.WaitGroup
+	for _, req := range reqs {
+		wg.Add(1)
+		go func(req client.Request) {
+			defer wg.Done()
+			if resp, err := conn.Submit(context.Background(), req); err != nil {
+				t.Errorf("submit: %v", err)
+			} else if !resp.Committed() {
+				t.Errorf("status %q (%s)", resp.Status, resp.Error)
+			}
+		}(req)
+	}
+	wg.Wait()
+
+	st := s.Stats()
+	if st.Committed != n {
+		t.Errorf("committed %d, want %d", st.Committed, n)
+	}
+	var perShard uint64
+	for _, sh := range st.Shards {
+		perShard += sh.Defers
+	}
+	if st.Defers == 0 || st.Defers != perShard {
+		t.Errorf("defers: rolled up %d, per-shard sum %d; want equal and non-zero on hot traffic", st.Defers, perShard)
+	}
+}
+
 // TestShardedDurableRestart commits one single-shard and one
 // cross-shard transaction with idempotency keys against a durable
 // 4-shard server, restarts it over the same directory, and checks

@@ -33,6 +33,7 @@ type ShardStats struct {
 	Bundles    uint64 `json:"bundles"`
 	Committed  uint64 `json:"committed"`
 	Retries    uint64 `json:"retries"`
+	Defers     uint64 `json:"defers"`
 	UserAborts uint64 `json:"user_aborts"`
 	Canceled   uint64 `json:"canceled"`
 	Expired    uint64 `json:"expired"`
@@ -332,6 +333,18 @@ func (u *unit) runBundle(batch []*task) {
 			spans[sp.TxnID], have[sp.TxnID] = sp, true
 		}
 	}
+	// Count before answering, as the unsharded server does: a client
+	// that has its response must find the commit in Stats.
+	u.count(func(s *ShardStats) {
+		s.Bundles++
+		s.Committed += res.Committed
+		s.Retries += res.Retries
+		s.Defers += res.Defers
+		s.UserAborts += res.UserAborts
+		s.Canceled += res.Canceled
+		s.Contended += res.Contended
+		s.Expired += res.Expired
+	})
 	respNow := time.Now()
 	for _, tk := range batch {
 		resp := client.Response{Bundle: bundleNo}
@@ -360,15 +373,6 @@ func (u *unit) runBundle(batch []*task) {
 		}
 		tk.done(resp)
 	}
-	u.count(func(s *ShardStats) {
-		s.Bundles++
-		s.Committed += res.Committed
-		s.Retries += res.Retries
-		s.UserAborts += res.UserAborts
-		s.Canceled += res.Canceled
-		s.Contended += res.Contended
-		s.Expired += res.Expired
-	})
 }
 
 func (u *unit) handleOp(op *shardOp) {
