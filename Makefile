@@ -10,8 +10,9 @@ race:
 	$(GO) test -race ./internal/deferment/ ./internal/engine/ ./internal/wal/ ./internal/overload/ ./internal/server/ ./internal/shard/ ./internal/chaos/ ./internal/bench/
 
 # Microbenchmarks with allocation counts: the wire codec, the WAL
-# append/flush path, the engine phase loop, and the conflict-graph
-# build at the served bundle shapes.
+# append/flush path (per record and per bundle), the engine phase loop
+# (plain, TsDEFER, and with a no-fsync WAL attached), and the
+# conflict-graph build at the served bundle shapes.
 bench-micro:
 	$(GO) test -run xxx -bench 'BenchmarkWire' -benchmem ./internal/client/
 	$(GO) test -run xxx -bench 'BenchmarkWALFlush' -benchmem ./internal/wal/

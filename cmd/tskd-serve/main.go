@@ -22,12 +22,12 @@
 // in-doubt prepares against the coordinator log, before the listener
 // accepts traffic. /metrics gains per-shard and 2PC counters.
 //
-// With -data-dir the server is durable: commits are acknowledged only
-// after their WAL group flush fsyncs, checkpoints truncate sealed
-// segments in the background, and startup recovers the directory
-// (latest valid checkpoint + WAL tail replay) before the listener
-// accepts a single connection — kill -9 and restart never loses an
-// acknowledged commit. Without it the server is memory-only.
+// With -data-dir the server is durable: a bundle's commits are
+// acknowledged only after one WAL flush fsynced them all, checkpoints
+// truncate sealed segments in the background, and startup recovers the
+// directory (latest valid checkpoint + WAL tail replay) before the
+// listener accepts a single connection — kill -9 and restart never
+// loses an acknowledged commit. Without it the server is memory-only.
 //
 // Replication pairs two durable processes:
 //
@@ -121,7 +121,7 @@ func main() {
 		noBreaker       = flag.Bool("no-breaker", false, "disable the WAL-stall circuit breaker")
 
 		dataDir   = flag.String("data-dir", "", "durable data directory ('' = memory-only, no WAL)")
-		walWindow = flag.Duration("wal-window", 2*time.Millisecond, "WAL group-commit window")
+		walWindow = flag.Duration("wal-window", 2*time.Millisecond, "WAL group-commit window for 2PC prepare/decision records (bundle commits flush once per bundle)")
 		segBytes  = flag.Int64("segment-bytes", 0, "WAL segment rotation size (0 = default)")
 		ckptBytes = flag.Int64("checkpoint-bytes", 0, "checkpoint once this many WAL bytes accumulate (0 = default)")
 		dedupWin  = flag.Int("dedup-window", 0, "committed idempotency keys remembered (0 = default)")

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"bytes"
-	"sync"
 
 	"tskd/internal/cc"
 	"tskd/internal/chaos/faultio"
@@ -46,12 +45,18 @@ func fieldsEqual(a, b []uint64) bool {
 	return true
 }
 
-// runWALFaults runs a contended bundle with redo logging over a writer
-// that dies at a seed-chosen byte offset (torn or clean), then
-// "crashes" and recovers the log prefix into a fresh database. The
-// invariants are the durability contract:
+// walFaultBundle is how many transactions runWALFaults hands the engine
+// per run: each run ends in one durability barrier, so the workload
+// crosses several and the injected fault splits it into acknowledged
+// bundles before the fault and unacknowledged ones from it on.
+const walFaultBundle = 50
+
+// runWALFaults runs a contended workload, a bundle per engine run, with
+// redo logging over a writer that dies at a seed-chosen byte offset
+// (torn or clean), then "crashes" and recovers the log prefix into a
+// fresh database. The invariants are the durability contract:
 //
-//   - no lost writes: every commit whose Append was acknowledged is
+//   - no lost writes: every commit a barrier acknowledged is
 //     at-or-below the recovered version of each row it wrote;
 //   - no phantom writes: recovery never advances a row past the
 //     in-memory final state, and where it reaches it, the images match
@@ -74,23 +79,24 @@ func runWALFaults(seed int64) Report {
 	fw := &faultio.Writer{W: &logBuf, FailAfter: plan.WALFailAfter, Torn: plan.WALTorn}
 	l := wal.New(fw, 0)
 
-	// Track which commits lost durability to the injected log fault.
-	var mu sync.Mutex
+	// Track which commits lost durability to the injected log fault
+	// (the hook runs on Run's goroutine: no lock).
 	failed := make(map[int]bool)
 	hooks := plan.EngineHooks()
-	hooks.OnWALError = func(t *txn.Transaction, err error) {
-		mu.Lock()
-		failed[t.ID] = true
-		mu.Unlock()
-	}
+	hooks.OnWALError = func(t *txn.Transaction, err error) { failed[t.ID] = true }
 
-	m := engine.Run(w, []engine.Phase{engine.SpreadRoundRobin(w, plan.Workers)}, engine.Config{
-		Workers: plan.Workers, Protocol: proto, DB: db, WAL: l,
-		Recorder: rec, Hooks: hooks, Seed: seed,
-	})
+	var committed uint64
+	for lo := 0; lo < len(w); lo += walFaultBundle {
+		bundle := w[lo:min(lo+walFaultBundle, len(w))]
+		m := engine.Run(w, []engine.Phase{engine.SpreadRoundRobin(bundle, plan.Workers)}, engine.Config{
+			Workers: plan.Workers, Protocol: proto, DB: db, WAL: l,
+			Recorder: rec, Hooks: hooks, Seed: seed,
+		})
+		committed += m.Committed
+	}
 	l.Close()
-	if m.Committed != uint64(len(w)) {
-		v.addf("committed %d of %d", m.Committed, len(w))
+	if committed != uint64(len(w)) {
+		v.addf("committed %d of %d", committed, len(w))
 	}
 	if plan.WALFailAfter >= 0 && !fw.Failed() && fw.Written() > plan.WALFailAfter {
 		v.addf("fault writer passed %d bytes without firing at %d", fw.Written(), plan.WALFailAfter)

@@ -4,20 +4,32 @@ import (
 	"testing"
 
 	"tskd/internal/cc"
+	"tskd/internal/wal"
 )
 
 // BenchmarkPhaseLoop measures a full two-phase engine run over a YCSB
 // bundle — the per-bundle cost the serving layer pays — reporting
 // allocations per transaction (the engine's headline efficiency
-// metric; the bundle runs 256 transactions per op).
+// metric; the bundle runs 256 transactions per op). The "wal" case
+// attaches a directory log without fsync: what redo logging adds to a
+// bundle with the device factored out — one non-blocking append per
+// writing commit and one barrier per run.
 func BenchmarkPhaseLoop(b *testing.B) {
-	for _, mode := range []string{"plain", "tsdefer"} {
+	for _, mode := range []string{"plain", "tsdefer", "wal"} {
 		b.Run(mode, func(b *testing.B) {
 			db, w := ycsbBundle(1, 256)
 			phases := []Phase{SpreadRoundRobin(w[:128], 4), SpreadRoundRobin(w[128:], 4)}
 			cfg := Config{Workers: 4, Protocol: cc.NewSilo(), DB: db, Seed: 1}
-			if mode == "tsdefer" {
+			switch mode {
+			case "tsdefer":
 				cfg.Defer = DefaultDefer()
+			case "wal":
+				l, err := wal.OpenDir(b.TempDir(), wal.DirOptions{NoSync: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer l.Close()
+				cfg.WAL = l
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

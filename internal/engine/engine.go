@@ -89,10 +89,15 @@ type Hooks struct {
 	// VirtualTime, latency percentiles and ExecSpans but must never
 	// affect isolation; the chaos checker verifies exactly that.
 	SkewBusy func(worker int, busy time.Duration) time.Duration
-	// OnWALError, when non-nil, is called instead of panicking when a
-	// commit's WAL append fails; the transaction stays committed in
-	// memory but its durability is not acknowledged. The chaos harness
-	// uses it to track which commits survived an injected log failure.
+	// OnWALError, when non-nil, is called instead of panicking for each
+	// commit whose redo record the run's durability barrier did not
+	// cover (see Config.WAL); the transaction stays committed in memory
+	// but its durability is not acknowledged, and its span is withheld
+	// from Metrics.Spans so a caller that acknowledges by span cannot
+	// acknowledge it. Unlike the other hooks it runs on Run's own
+	// goroutine, after the workers finished, in transaction-ID order.
+	// The chaos harness uses it to track which commits survived an
+	// injected log failure.
 	OnWALError func(t *txn.Transaction, err error)
 }
 
@@ -116,8 +121,16 @@ type Config struct {
 	// history estimator learns across bundles.
 	CostSink *estimator.History
 	// WAL, when non-nil, makes every commit append its redo record to
-	// the log and waits for durability before acknowledging (group
-	// commit batches the waits). Recovery is wal.Recover.
+	// the log without waiting, and makes Run end with one durability
+	// barrier over everything its workers appended: the run, not the
+	// transaction, is the unit that reaches stable storage, so Run
+	// returning means every commit it reports is durable (synced,
+	// gate-checked, shipped). A barrier failure goes to
+	// Hooks.OnWALError per uncovered commit when hooked; otherwise Run
+	// panics — memory is then ahead of the log, and the only safe
+	// continuation is recovery from the log. The barrier reports a
+	// failure once, so concurrent runs must not share a log. Recovery is
+	// wal.Recover.
 	WAL *wal.Log
 	// Deps, when non-nil, makes workers wait before executing a
 	// transaction until all of its dependencies have committed —
@@ -144,7 +157,16 @@ type Config struct {
 	// committed marks transactions that have committed, for dependency
 	// waits; allocated by Run when Deps is set.
 	committed []atomic.Bool
+	// walLSN[id] is one past the LSN of transaction id's redo record in
+	// this run (0 = none, walRejected = the log refused it); allocated
+	// by Run when WAL is set. Each entry is written by the one worker
+	// that commits the transaction and read after the workers finished.
+	walLSN []uint64
 }
+
+// walRejected marks a commit whose append the log refused: above every
+// durable prefix, so the run's barrier always reports it.
+const walRejected = ^uint64(0)
 
 // Metrics aggregates the outcome of a run.
 type Metrics struct {
@@ -271,6 +293,9 @@ func Run(w txn.Workload, phases []Phase, cfg Config) Metrics {
 	if cfg.Deps != nil && cfg.Deps.Len() > 0 {
 		cfg.committed = make([]atomic.Bool, nID)
 	}
+	if cfg.WAL != nil {
+		cfg.walLSN = make([]uint64, nID)
+	}
 	var predicted [][]txn.Key
 	if cfg.Defer != nil && cfg.Defer.Lookups > 0 {
 		alpha := cfg.Defer.Alpha
@@ -336,6 +361,9 @@ func Run(w txn.Workload, phases []Phase, cfg Config) Metrics {
 			agg.Retries += tm.Retries
 			total.PerTemplate[name] = agg
 		}
+	}
+	if cfg.WAL != nil {
+		total.Spans = cfg.walBarrier(byID, total.Spans)
 	}
 	total.Elapsed = time.Since(start)
 	if lat.Count() > 0 {
@@ -862,35 +890,65 @@ func (wk *worker) runScan(t *txn.Transaction, op txn.Op) error {
 	return nil
 }
 
-// logCommit appends the transaction's redo record to the WAL and
-// blocks until it is durable (the write-ahead rule: acknowledge only
-// after the log reached stable storage).
+// logCommit appends the transaction's redo record to the WAL without
+// waiting for it to reach stable storage: Run's barrier makes the whole
+// run durable at once, and nothing is acknowledged before Run returns.
 func (wk *worker) logCommit(t *txn.Transaction) {
 	cw := wk.ctx.AppendCommittedWrites(wk.ccWrites[:0])
 	wk.ccWrites = cw
 	if len(cw) == 0 {
 		return // read-only: nothing to redo
 	}
-	// The scratch Writes buffer is safe to reuse next commit: Append
-	// serializes the record before returning (it only blocks on the
-	// group flush afterwards).
+	// The scratch Writes buffer is safe to reuse next commit: the log
+	// serializes the record before AppendNoWait returns.
 	upd := wk.walWrites[:0]
 	for _, w := range cw {
 		upd = append(upd, wal.Update{Key: uint64(w.Key), Ver: w.Ver, Fields: w.Fields})
 	}
 	wk.walWrites = upd
-	rec := wal.Record{TxnID: int64(t.ID), IdemKey: t.IdemKey, Writes: upd}
-	// Log failures are fatal to durability but not to the in-memory
-	// execution; surface them loudly in tests via the panic below,
-	// unless a fault hook claims them (chaos runs inject log errors on
-	// purpose and track which commits lost durability).
-	if err := wk.cfg.WAL.Append(rec); err != nil {
-		if h := wk.cfg.Hooks; h != nil && h.OnWALError != nil {
-			h.OnWALError(t, err)
-			return
-		}
-		panic("engine: WAL append failed: " + err.Error())
+	lsn, err := wk.cfg.WAL.AppendNoWait(wal.Record{TxnID: int64(t.ID), IdemKey: t.IdemKey, Writes: upd})
+	if err != nil {
+		wk.cfg.walLSN[t.ID] = walRejected
+		return
 	}
+	wk.cfg.walLSN[t.ID] = lsn + 1
+}
+
+// walBarrier is the run's durability point: one WAL barrier over every
+// record the workers appended. Commits it does not cover are fatal to
+// durability but not to the in-memory execution: they go to
+// Hooks.OnWALError when a fault hook claims them (chaos runs inject log
+// errors on purpose and track which commits lost durability) and lose
+// their span, so they are never reported as acknowledgeable; otherwise
+// the run fail-stops. Returns spans without the lost commits.
+func (cfg *Config) walBarrier(byID []*txn.Transaction, spans []ExecSpan) []ExecSpan {
+	durable, err := cfg.WAL.Barrier()
+	var lost []int
+	for id, next := range cfg.walLSN { // next is LSN+1
+		if next > durable {
+			lost = append(lost, id)
+		}
+	}
+	if len(lost) == 0 {
+		return spans
+	}
+	if err == nil {
+		err = wal.ErrClosed // a refused append: the log's only append error
+	}
+	h := cfg.Hooks
+	if h == nil || h.OnWALError == nil {
+		panic("engine: WAL barrier failed: " + err.Error())
+	}
+	for _, id := range lost {
+		h.OnWALError(byID[id], err)
+	}
+	kept := spans[:0]
+	for _, sp := range spans {
+		if cfg.walLSN[sp.TxnID] <= durable {
+			kept = append(kept, sp)
+		}
+	}
+	return kept
 }
 
 // toHistObs converts protocol observations to checker observations.

@@ -2,10 +2,15 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"tskd/internal/cc"
+	"tskd/internal/history"
 	"tskd/internal/storage"
 	"tskd/internal/txn"
 	"tskd/internal/wal"
@@ -154,4 +159,151 @@ func TestCheckpointPlusLogTail(t *testing.T) {
 	if mismatch != 0 {
 		t.Fatalf("%d rows differ after checkpoint+tail recovery", mismatch)
 	}
+}
+
+// syncedLog is a log device for tests: Write appends to an in-memory
+// buffer and Sync marks everything written so far as on stable storage
+// (or fails, when armed), counting the barriers.
+type syncedLog struct {
+	buf    bytes.Buffer
+	synced int
+	syncs  int
+	err    error
+}
+
+func (s *syncedLog) Write(p []byte) (int, error) { return s.buf.Write(p) }
+
+func (s *syncedLog) Sync() error {
+	s.syncs++
+	if s.err != nil {
+		return s.err
+	}
+	s.synced = s.buf.Len()
+	return nil
+}
+
+// syncedIDs replays the synced prefix and returns the transaction IDs
+// whose redo records are in it.
+func (s *syncedLog) syncedIDs(t *testing.T) map[int]bool {
+	t.Helper()
+	ids := make(map[int]bool)
+	if _, err := wal.Replay(bytes.NewReader(s.buf.Bytes()[:s.synced]), func(r wal.Record) error {
+		ids[int(r.TxnID)] = true
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+// TestRunReturnsAfterOneBarrier is the engine's durability contract:
+// when Run returns, the redo record of every commit that wrote is
+// inside the synced prefix, and the run paid one stable-storage barrier
+// — not one per commit, and not one per group window either.
+func TestRunReturnsAfterOneBarrier(t *testing.T) {
+	cfg := workload.YCSB{
+		Records: 500, Theta: 0.9, Txns: 300, OpsPerTxn: 8,
+		ReadRatio: 0.4, RMW: true, Seed: 5,
+	}
+	db := cfg.BuildDB()
+	dev := &syncedLog{}
+	l := wal.NewDurable(dev, dev, time.Millisecond)
+	defer l.Close()
+
+	for bundle := 1; bundle <= 3; bundle++ {
+		c := cfg
+		c.Seed = int64(bundle)
+		w := c.Generate()
+		rec := history.NewRecorder()
+		m := Run(w, []Phase{SpreadRoundRobin(w[:150], 4), SpreadRoundRobin(w[150:], 4)}, Config{
+			Workers: 4, Protocol: cc.NewSilo(), DB: db, WAL: l, Recorder: rec, Seed: int64(bundle),
+		})
+		if m.Committed != 300 {
+			t.Fatalf("bundle %d committed %d", bundle, m.Committed)
+		}
+		if dev.syncs != bundle {
+			t.Fatalf("bundle %d: %d syncs so far, want one per run", bundle, dev.syncs)
+		}
+		if dev.synced != dev.buf.Len() {
+			t.Fatalf("bundle %d: Run returned with %d of %d log bytes synced", bundle, dev.synced, dev.buf.Len())
+		}
+		durable := dev.syncedIDs(t)
+		writers := 0
+		for _, e := range rec.Events() {
+			if len(e.Writes) == 0 {
+				continue
+			}
+			writers++
+			if !durable[e.TxnID] {
+				t.Fatalf("bundle %d: txn %d committed writes but its record is not in the synced prefix", bundle, e.TxnID)
+			}
+		}
+		if writers == 0 {
+			t.Fatal("no writing commits: the test checks nothing")
+		}
+	}
+}
+
+// TestBarrierFailureWithholdsAcks: when the run's barrier fails, every
+// commit that wrote goes to OnWALError (on Run's goroutine, in ID
+// order) and loses its span, read-only commits keep theirs, and all of
+// them still count as committed in memory. Without a hook the run
+// fail-stops on the caller's goroutine.
+func TestBarrierFailureWithholdsAcks(t *testing.T) {
+	db := storage.NewDB()
+	tbl := db.CreateTable(0, "t", 1)
+	var w txn.Workload
+	for i := 0; i < 40; i++ {
+		tbl.Insert(uint64(i))
+		if i%4 == 0 {
+			w = append(w, txn.New(i).R(txn.MakeKey(0, uint64(i))))
+		} else {
+			w = append(w, txn.New(i).U(txn.MakeKey(0, uint64(i)), 1))
+		}
+	}
+	eio := errors.New("EIO")
+	dev := &syncedLog{err: eio}
+	l := wal.NewDurable(dev, dev, 0)
+	defer l.Close()
+
+	var lost []int
+	hooks := &Hooks{OnWALError: func(tx *txn.Transaction, err error) {
+		if !errors.Is(err, eio) {
+			t.Errorf("txn %d lost to %v, want the sync error", tx.ID, err)
+		}
+		lost = append(lost, tx.ID)
+	}}
+	cfg := Config{Workers: 4, Protocol: cc.NewOCC(), DB: db, WAL: l, TraceSpans: true, Hooks: hooks}
+	m := Run(w, []Phase{SpreadRoundRobin(w, 4)}, cfg)
+	if m.Committed != 40 {
+		t.Fatalf("committed %d of 40 in memory", m.Committed)
+	}
+	if len(lost) != 30 || !sort.IntsAreSorted(lost) {
+		t.Fatalf("OnWALError saw %v, want the 30 writers in ID order", lost)
+	}
+	if len(m.Spans) != 10 {
+		t.Fatalf("%d spans survive, want the 10 read-only commits", len(m.Spans))
+	}
+	for _, sp := range m.Spans {
+		if sp.TxnID%4 != 0 {
+			t.Errorf("txn %d lost durability but kept its span", sp.TxnID)
+		}
+	}
+
+	// The failure was reported once: with the device healthy again the
+	// next run is covered and acknowledged in full.
+	dev.err = nil
+	lost = nil
+	if m := Run(w, []Phase{SpreadRoundRobin(w, 4)}, cfg); len(lost) != 0 || len(m.Spans) != 40 {
+		t.Fatalf("healthy run after the failure: %d lost, %d spans", len(lost), len(m.Spans))
+	}
+
+	dev.err = eio
+	cfg.Hooks = nil
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "EIO") {
+			t.Fatalf("unhooked barrier failure: recovered %v, want a panic naming the error", r)
+		}
+	}()
+	Run(w, []Phase{SpreadRoundRobin(w, 4)}, cfg)
 }

@@ -24,12 +24,14 @@ import (
 //	dedup-<lsn>.dd    idempotency-window sidecars
 //
 // where <lsn> is 16 hex digits. The commit path appends every write
-// set to the WAL inside the engine (core.Options.WAL) and the bundler
-// acknowledges a transaction only after its group flush fsynced — the
-// write-ahead rule end to end. Between bundles, once enough log bytes
-// have accumulated, the bundler checkpoints: dedup sidecar first, then
-// the database image, both atomic, both named by the quiescent LSN;
-// sealed segments fully below that LSN are then deleted and older
+// set to the WAL inside the engine (core.Options.WAL) without waiting,
+// and the engine run ends with one barrier — one write, one fsync —
+// over the whole bundle; the bundler acknowledges the bundle's
+// transactions only after that barrier returned, the write-ahead rule
+// end to end at bundle granularity. Between bundles, once enough log
+// bytes have accumulated, the bundler checkpoints: dedup sidecar first,
+// then the database image, both atomic, both named by the quiescent
+// LSN; sealed segments fully below that LSN are then deleted and older
 // checkpoint generations removed. Startup recovery inverts this:
 // newest valid checkpoint, its sidecar, then the WAL tail — all before
 // the listener binds, so a connection is only ever accepted by a
@@ -39,10 +41,10 @@ import (
 type DurabilityOptions struct {
 	// Dir is the data directory (created if missing); required.
 	Dir string
-	// GroupWindow is the WAL group-commit window: commits acknowledge
-	// at latest this long after their log record was appended (default
-	// 2ms). Zero-cost for throughput — the engine's workers block per
-	// transaction, not per bundle — and it bounds fsyncs per second.
+	// GroupWindow is the WAL group-commit window for blocking appends
+	// (default 2ms): in sharded mode it paces 2PC prepare and
+	// coordinator decision records. Bundle commits do not wait on it:
+	// they are flushed by one barrier at the end of their bundle.
 	GroupWindow time.Duration
 	// SegmentBytes rotates WAL segments (default wal.DefaultSegmentBytes).
 	SegmentBytes int64

@@ -153,14 +153,15 @@ func (s *Server) dropExpired(batch []*pending) []*pending {
 			if p.t.IdemKey != 0 && s.dedup != nil {
 				s.dedup.release(p.t.IdemKey)
 			}
-			delivered := p.conn.send(client.Response{Seq: p.seq, Status: client.StatusExpired})
-			s.mu.Lock()
-			s.stats.Expired++
-			s.stats.ResultsStreamed++
-			if !delivered {
-				s.stats.Forfeited++
+			// Count before answering: a client that has its response
+			// must find the drop in Stats.
+			s.count(func(st *Stats) {
+				st.Expired++
+				st.ResultsStreamed++
+			})
+			if !p.conn.send(client.Response{Seq: p.seq, Status: client.StatusExpired}) {
+				s.count(func(st *Stats) { st.Forfeited++ })
 			}
-			s.mu.Unlock()
 			putPending(p)
 			continue
 		}

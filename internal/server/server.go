@@ -41,8 +41,8 @@ import (
 	"tskd/internal/engine"
 	"tskd/internal/metrics"
 	"tskd/internal/overload"
-	"tskd/internal/replica"
 	"tskd/internal/partition"
+	"tskd/internal/replica"
 	"tskd/internal/shard"
 	"tskd/internal/storage"
 	"tskd/internal/txn"
@@ -111,10 +111,10 @@ type Config struct {
 	// (internal/arbiter): a submission is dispatched only while the
 	// lease is held — otherwise it is refused with StatusNotPrimary
 	// carrying the current leader's address when known — and on a
-	// durable server every WAL group flush re-checks the lease before
-	// releasing client acks, so a deposed primary cannot acknowledge a
-	// commit its successor will never have. /healthz reports 503 until
-	// the lease is held. The server does not own the client: close it
+	// durable server every WAL flush (one per bundle) re-checks the
+	// lease before releasing client acks, so a deposed primary cannot
+	// acknowledge a commit its successor will never have. /healthz
+	// reports 503 until the lease is held. The server does not own the client: close it
 	// after Shutdown.
 	Lease *arbiter.LeaseClient
 }
@@ -515,8 +515,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 
 	if s.log != nil {
-		// The bundler has exited: no commit can be in flight. Close
-		// flushes and fsyncs whatever the group window still held.
+		// The bundler has exited: no commit can be in flight, and the
+		// last bundle's barrier left nothing pending. Close syncs and
+		// closes the active segment.
 		if cerr := s.log.Close(); err == nil {
 			err = cerr
 		}
@@ -1038,9 +1039,10 @@ func (s *Server) runBundle(batch []*pending) {
 		}
 		if p.t.IdemKey != 0 && s.dedup != nil {
 			if resp.Status == client.StatusCommit {
-				// The commit is already durable (the engine blocks each
-				// commit on its WAL group flush), so remembering the
-				// key here keeps the window consistent with the log.
+				// The commit is already durable (Process returns only
+				// after the WAL barrier covered the whole bundle), so
+				// remembering the key here keeps the window consistent
+				// with the log.
 				s.dedup.commit(p.t.IdemKey, resp)
 			} else {
 				s.dedup.release(p.t.IdemKey) // abort/cancel: retryable

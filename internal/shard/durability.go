@@ -31,7 +31,10 @@ import (
 type Durability struct {
 	// Dir is the root data directory; required.
 	Dir string
-	// GroupWindow is each log's group-commit window (default 2ms).
+	// GroupWindow is each log's group-commit window for the records
+	// logged one at a time: 2PC prepares and coordinator decisions
+	// (default 2ms). A bundle's commits are flushed together by the
+	// engine's barrier and do not wait on it.
 	GroupWindow time.Duration
 	// SegmentBytes rotates log segments at this size (default 64 MiB).
 	SegmentBytes int64

@@ -364,8 +364,8 @@ func (u *unit) runBundle(batch []*task) {
 		}
 		if tk.t.IdemKey != 0 {
 			if resp.Status == client.StatusCommit {
-				// Durable already: the engine blocks each commit on its
-				// WAL group flush before reporting the span.
+				// Durable already: Process returns only after the WAL
+				// barrier covered every commit of the bundle.
 				u.dedup.commit(tk.t.IdemKey, resp)
 			} else {
 				u.dedup.release(tk.t.IdemKey)

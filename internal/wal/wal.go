@@ -33,6 +33,15 @@
 // their first record, syncs every group flush through a Syncer (the
 // fsync that makes "durable" mean durable), and truncates sealed
 // segments once a checkpoint covers them (TruncateSealed).
+//
+// Appending and waiting for durability are separate steps. The engine
+// executes a bundle at a time and acknowledges a bundle at a time, so
+// its workers call AppendNoWait (encode into the pending group, return)
+// and the run ends with one Barrier, which flushes the group — one
+// write, one fsync, one gate check, one ship for the whole bundle — and
+// reports the durable prefix. Append is the two combined, paced by the
+// group window, for callers that log one record at a time (2PC
+// prepares, coordinator decisions).
 package wal
 
 import (
@@ -119,13 +128,14 @@ type FlushMonitor interface {
 // locally — the replication hook. firstLSN is the LSN of the group's
 // first record, records the count in the group, and data the exact
 // bytes written (framed records, replayable as-is). A non-nil return
-// fails the flush: every appender waiting on the group gets the error
-// instead of a durability ack, which is how synchronous replication
-// withholds client acks until the backup confirmed the bytes. Ship is
-// called under the log's mutex after the local fsync and after the
-// FlushMonitor saw the flush (so a WAL-stall breaker never charges
-// network latency to the disk); it must not call back into the Log,
-// and data is only valid for the duration of the call.
+// fails the flush: every appender waiting on the group, and the next
+// Barrier, gets the error instead of a durability ack, which is how
+// synchronous replication withholds client acks until the backup
+// confirmed the bytes. Ship is called under the log's mutex after the
+// local fsync and after the FlushMonitor saw the flush (so a WAL-stall
+// breaker never charges network latency to the disk); it must not call
+// back into the Log, and data is only valid for the duration of the
+// call.
 type Shipper interface {
 	Ship(firstLSN uint64, records int, data []byte) error
 }
@@ -133,18 +143,22 @@ type Shipper interface {
 // FlushGate vetoes durability acknowledgements: it is consulted on
 // every flush after the local fsync, alongside the Shipper, and a
 // non-nil return fails the flush exactly as a ship failure does —
-// every appender waiting on the group gets the error instead of an
-// ack. The automatic-failover path installs the primary's lease check
-// here, so a node whose lease lapsed (or that was fenced by the
-// arbiter) can never acknowledge another commit even if its replica
-// link is still up. Called under the log's mutex; must not call back
-// into the Log.
+// every appender waiting on the group, and the next Barrier, gets the
+// error instead of an ack. The automatic-failover path installs the
+// primary's lease check here, so a node whose lease lapsed (or that was
+// fenced by the arbiter) can never acknowledge another commit even if
+// its replica link is still up. Called under the log's mutex; must not
+// call back into the Log.
 type FlushGate func() error
 
-// Log is a group-committing redo log over an io.Writer. Append is safe
-// for concurrent use; records become durable when the group they
-// joined is flushed (Append returns after the flush, i.e. commits are
-// acknowledged only once durable).
+// Log is a group-committing redo log over an io.Writer. Records join
+// the pending group when appended and become durable when that group
+// is flushed: write, Syncer, FlushMonitor, FlushGate, Shipper, in that
+// order. AppendNoWait returns once the record is in the group and
+// leaves the flush to a later Barrier; Append returns after the flush
+// of its group. A record may be acknowledged only once Append returned
+// nil for it or a Barrier reported a durable prefix that covers it.
+// All methods are safe for concurrent use.
 type Log struct {
 	mu      sync.Mutex
 	w       io.Writer
@@ -160,10 +174,18 @@ type Log struct {
 	// rotation re-applies it to each new segment file.
 	wrapSync func(Syncer) Syncer
 	pending  []byte
-	waiters  []chan error
+	waiters  []chan error // blocked Appends of the pending group
+	// unwaited is set while the pending group holds records nobody
+	// blocks on (AppendNoWait). A failed flush of such a group has no
+	// waiter to tell, so it is held in lostFrom/lostErr — the first LSN
+	// and the error of the earliest such failure — until a Barrier
+	// reports it.
+	unwaited bool
+	lostFrom uint64
+	lostErr  error
 
-	// GroupWindow batches appends for up to this long before flushing
-	// (group commit). Zero flushes on every append.
+	// groupWindow batches blocking appends for up to this long before
+	// flushing (group commit). Zero flushes on every Append.
 	groupWindow time.Duration
 	flushTimer  *time.Timer
 	closed      bool
@@ -189,25 +211,26 @@ type Log struct {
 }
 
 // New returns a log writing to w with the given group-commit window
-// (0 = synchronous flush per record).
+// for blocking appends (0 = synchronous flush per Append).
 func New(w io.Writer, groupWindow time.Duration) *Log {
 	return &Log{w: w, groupWindow: groupWindow}
 }
 
 // NewDurable is New with a stable-storage barrier: every group flush is
 // followed by sync.Sync() before waiters are released, so Append
-// returning nil means the record survived a crash of the process or
-// the OS. Pass the same *os.File as both w and sync for a plain
-// file-backed log; OpenDir builds on this with segment rotation.
+// returning nil, or a Barrier covering the record, means it survived a
+// crash of the process or the OS. Pass the same *os.File as both w and
+// sync for a plain file-backed log; OpenDir builds on this with segment
+// rotation.
 func NewDurable(w io.Writer, sync Syncer, groupWindow time.Duration) *Log {
 	return &Log{w: w, sync: sync, groupWindow: groupWindow}
 }
 
 // NextLSN returns the LSN the next appended record will receive —
 // equivalently, the number of records ever appended (plus the StartLSN
-// the log was opened at). Between bundles, with no append in flight,
-// it is the exclusive upper bound of the durable prefix and therefore
-// the LSN a checkpoint is taken at.
+// the log was opened at). Between bundles — after the engine's Barrier,
+// with no append in flight — it is the exclusive upper bound of the
+// durable prefix and therefore the LSN a checkpoint is taken at.
 func (l *Log) NextLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -259,42 +282,58 @@ func (l *Log) Counters() (records, flushes, syncs uint64) {
 // ErrClosed reports appends to a closed log.
 var ErrClosed = errors.New("wal: closed")
 
-// encodeBufPool recycles record encode buffers across appends: a record
-// is serialized (with its 8-byte header backfilled) into a pooled
-// buffer outside the log mutex, copied into the pending group under it,
-// and the buffer returned before the append blocks on durability.
-var encodeBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
-
 // waiterPool recycles the single-use durability-notification channels.
-// Every registered waiter is sent exactly one error (flush, Close) and
-// its appender receives exactly once before recycling, so a pooled
-// channel is always empty when reused.
+// Every registered waiter is sent exactly one error (by the flush of
+// its group) and its appender receives exactly once before recycling,
+// so a pooled channel is always empty when reused.
 var waiterPool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
-// Append serializes rec into the current group and blocks until that
-// group is durable.
-func (l *Log) Append(rec Record) error {
-	bp := encodeBufPool.Get().(*[]byte)
-	buf := appendRecord((*bp)[:0], rec)
-	*bp = buf
-
-	l.mu.Lock()
+// appendLocked encodes rec at the tail of the pending group and returns
+// its LSN. The record is serialized straight into the group buffer
+// (header backfilled in place), so the caller's rec — and any scratch
+// its Writes alias — is free for reuse on return.
+func (l *Log) appendLocked(rec Record) (uint64, error) {
 	if l.closed {
-		l.mu.Unlock()
-		encodeBufPool.Put(bp)
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if len(l.pending) == 0 {
 		l.shipStart = l.nextLSN
 	}
-	l.pending = append(l.pending, buf...)
+	before := len(l.pending)
+	l.pending = appendRecord(l.pending, rec)
+	lsn := l.nextLSN
 	l.Records++
 	l.nextLSN++
-	l.bytes += int64(len(buf))
+	l.bytes += int64(len(l.pending) - before)
+	return lsn, nil
+}
+
+// AppendNoWait serializes rec into the pending group and returns its
+// LSN without waiting for the group to be flushed: no timer, no waiter.
+// The record is durable once a Barrier reports a prefix above that
+// LSN. The only error is ErrClosed.
+func (l *Log) AppendNoWait(rec Record) (uint64, error) {
+	l.mu.Lock()
+	lsn, err := l.appendLocked(rec)
+	if err == nil {
+		l.unwaited = true
+	}
+	l.mu.Unlock()
+	return lsn, err
+}
+
+// Append is AppendNoWait plus the wait: it serializes rec into the
+// pending group and blocks until that group is flushed, at most one
+// group window later, returning the flush's outcome.
+func (l *Log) Append(rec Record) error {
+	l.mu.Lock()
+	if _, err := l.appendLocked(rec); err != nil {
+		l.mu.Unlock()
+		return err
+	}
 	if l.groupWindow <= 0 {
 		err := l.flushLocked()
 		l.mu.Unlock()
-		encodeBufPool.Put(bp)
 		return err
 	}
 	ch := waiterPool.Get().(chan error)
@@ -303,25 +342,43 @@ func (l *Log) Append(rec Record) error {
 		l.flushTimer = time.AfterFunc(l.groupWindow, func() {
 			l.mu.Lock()
 			l.flushTimer = nil
-			err := l.flushLocked()
-			l.notifyLocked(err)
+			l.flushLocked()
 			l.mu.Unlock()
 		})
 	}
 	l.mu.Unlock()
-	encodeBufPool.Put(bp)
 	err := <-ch
 	waiterPool.Put(ch)
 	return err
 }
 
-// Flush forces the current group out.
+// Barrier forces the pending group out and reports the durable prefix:
+// every record appended before the call with an LSN below durable has
+// been written, synced, passed the gate and been shipped. With a nil
+// error that is every record appended so far. A non-nil error is the
+// earliest flush failure since the previous Barrier that hit records
+// appended with AppendNoWait, and durable is the first LSN it hit:
+// nothing at or above it may be acknowledged (though it may well be on
+// disk — recovery decides). Each failure is reported once; the log
+// itself carries on, and later groups succeed or fail on their own.
+func (l *Log) Barrier() (durable uint64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.flushLocked()
+	if err := l.lostErr; err != nil {
+		l.lostErr = nil
+		return l.lostFrom, err
+	}
+	return l.nextLSN, nil
+}
+
+// Flush forces the current group out and returns its outcome. Unlike
+// Barrier it reports only the group it flushed and leaves a failure
+// that hit AppendNoWait records pending for the next Barrier.
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	err := l.flushLocked()
-	l.notifyLocked(err)
-	return err
+	return l.flushLocked()
 }
 
 // Close flushes and marks the log closed. Directory-backed logs also
@@ -330,7 +387,6 @@ func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	err := l.flushLocked()
-	l.notifyLocked(err)
 	l.closed = true
 	if l.flushTimer != nil {
 		l.flushTimer.Stop()
@@ -345,6 +401,8 @@ func (l *Log) Close() error {
 	return err
 }
 
+// flushLocked writes the pending group out and releases its waiters
+// with the outcome.
 func (l *Log) flushLocked() error {
 	if len(l.pending) == 0 {
 		return nil
@@ -383,14 +441,15 @@ func (l *Log) flushLocked() error {
 	if err == nil && l.active != nil && l.segWritten >= l.segBytes {
 		err = l.rotateLocked()
 	}
-	return err
-}
-
-func (l *Log) notifyLocked(err error) {
+	if err != nil && l.unwaited && l.lostErr == nil {
+		l.lostFrom, l.lostErr = first, err
+	}
+	l.unwaited = false
 	for _, ch := range l.waiters {
 		ch <- err
 	}
 	l.waiters = l.waiters[:0]
+	return err
 }
 
 // appendRecord appends rec's framed encoding (length/CRC header plus
