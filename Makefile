@@ -6,13 +6,15 @@ test:
 	$(GO) build ./...
 	$(GO) test ./...
 
+# The package list of the CI race step (.github/workflows/ci.yml).
 race:
-	$(GO) test -race ./internal/deferment/ ./internal/engine/ ./internal/wal/ ./internal/overload/ ./internal/server/ ./internal/shard/ ./internal/chaos/ ./internal/bench/
+	$(GO) test -race ./internal/deferment ./internal/engine ./internal/wal ./internal/overload ./internal/server ./internal/shard ./internal/replica ./internal/arbiter ./internal/chaos ./internal/bench ./internal/client
 
 # Microbenchmarks with allocation counts: the wire codec, the WAL
 # append/flush path (per record and per bundle), the engine phase loop
 # (plain, TsDEFER, and with a no-fsync WAL attached), and the
-# conflict-graph build at the served bundle shapes.
+# conflict graph at the served bundle shapes (every row, and only the
+# rows of Strife's residual).
 bench-micro:
 	$(GO) test -run xxx -bench 'BenchmarkWire' -benchmem ./internal/client/
 	$(GO) test -run xxx -bench 'BenchmarkWALFlush' -benchmem ./internal/wal/

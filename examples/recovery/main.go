@@ -57,8 +57,9 @@ func main() {
 	if err := l.Close(); err != nil {
 		log.Fatal(err)
 	}
+	records, flushes, _ := l.Counters()
 	fmt.Printf("log: %d records in %d flushes (group factor %.1fx), %d KiB\n",
-		l.Records, l.Flushes, float64(l.Records)/float64(l.Flushes), logBuf.Len()/1024)
+		records, flushes, float64(records)/float64(flushes), logBuf.Len()/1024)
 
 	// --- crash ---
 

@@ -134,13 +134,20 @@ func (p *SSI) Commit(c *Ctx) error {
 	}
 
 	// Certify against concurrently committed transactions.
-	if !p.certify(c) {
+	commitTS, ok := p.certify(c)
+	if !ok {
 		p.unlatchWrites(c)
 		c.Stats.Contended++
 		return ErrConflict
 	}
+	p.install(c, commitTS)
+	return nil
+}
 
-	commitTS := p.ts.next()
+// install publishes c's latched writes as the versions of commitTS, the
+// timestamp certify recorded for them, and releases the latches.
+func (p *SSI) install(c *Ctx, commitTS uint64) {
+	writes := c.writes
 	for i := range writes {
 		w := &writes[i]
 		cur := w.row.Load()
@@ -154,18 +161,21 @@ func (p *SSI) Commit(c *Ctx) error {
 		w.row.Unlatch(true)
 		w.locked = false
 	}
-	return nil
 }
 
 // certify runs the dangerous-structure test against recently committed
-// transactions and, on success, records this commit. Called with the
-// write latches held so certification and installation are atomic
-// relative to other committers.
-func (p *SSI) certify(c *Ctx) bool {
+// transactions and, on success, allocates the commit timestamp and
+// records this commit under it. Called with the write latches held so
+// certification and installation are atomic relative to other
+// committers. The timestamp is taken here, under p.mu, and handed to
+// install: were it only predicted here and drawn later, a Begin in
+// between would take the predicted number, read the versions this
+// commit overwrites and still pass for "began after it committed", so
+// its rw-antidependency would never be seen.
+func (p *SSI) certify(c *Ctx) (commitTS uint64, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	commitTS := p.ts.n.Load() + 1 // the timestamp Commit will allocate
 	myReads, myWrites := readKeys(c), writeKeys(c)
 
 	var inRW, outRW bool
@@ -183,7 +193,7 @@ func (p *SSI) certify(c *Ctx) bool {
 		if keysIntersect(myReads, r.writes) {
 			outRW = true
 			if r.hadOut {
-				return false
+				return 0, false
 			}
 			markIn = append(markIn, i)
 		}
@@ -193,13 +203,13 @@ func (p *SSI) certify(c *Ctx) bool {
 		if keysIntersect(myWrites, r.reads) {
 			inRW = true
 			if r.hadIn {
-				return false
+				return 0, false
 			}
 			markOut = append(markOut, i)
 		}
 	}
 	if inRW && outRW {
-		return false // we are the pivot of a dangerous structure
+		return 0, false // we are the pivot of a dangerous structure
 	}
 	for _, i := range markIn {
 		p.recent[i].hadIn = true
@@ -207,6 +217,7 @@ func (p *SSI) certify(c *Ctx) bool {
 	for _, i := range markOut {
 		p.recent[i].hadOut = true
 	}
+	commitTS = p.ts.next()
 	p.recent = append(p.recent, ssiCommit{
 		begin:  c.TS,
 		commit: commitTS,
@@ -221,7 +232,7 @@ func (p *SSI) certify(c *Ctx) bool {
 	if len(p.recent) > 4096 {
 		p.recent = append(p.recent[:0], p.recent[len(p.recent)/2:]...)
 	}
-	return true
+	return commitTS, true
 }
 
 func (p *SSI) unlatchWrites(c *Ctx) {

@@ -131,3 +131,66 @@ func TestSSIFirstCommitterWins(t *testing.T) {
 		t.Error("first committer's write lost")
 	}
 }
+
+// TestSSIBeginBetweenCertifyAndInstall forces the interleaving that
+// used to lose an rw-antidependency: a transaction begins after a
+// writer was certified and before its versions are installed. Whatever
+// timestamp that reader gets, it must either see the writer's version
+// or, reading the version the writer overwrote, leave its edge on the
+// writer's record when it commits. (When certify only predicted the
+// commit timestamp, the reader took the predicted number, read the old
+// version and passed for "began after the writer committed".)
+func TestSSIBeginBetweenCertifyAndInstall(t *testing.T) {
+	p := NewSSI()
+	x, y := newRow(1, 10), newRow(2, 0)
+
+	// The writer, driven through Commit's steps by hand so the test can
+	// stop between them.
+	writer := NewCtx(nil)
+	p.Begin(writer)
+	if err := p.Write(writer, x, func(tu *storage.Tuple) { tu.Fields[0] = 99 }); err != nil {
+		t.Fatal(err)
+	}
+	if !x.TryLatch() {
+		t.Fatal("x already latched")
+	}
+	commitTS, ok := p.certify(writer)
+	if !ok {
+		t.Fatal("uncontended writer failed certification")
+	}
+	rec := len(p.recent) - 1
+	if p.recent[rec].commit != commitTS {
+		t.Fatalf("recorded commit %d, returned %d", p.recent[rec].commit, commitTS)
+	}
+
+	reader := NewCtx(nil)
+	p.Begin(reader) // between certification and install
+
+	p.install(writer, commitTS)
+	if got := x.WTS.Load(); got != commitTS {
+		t.Fatalf("x installed at %d, certified at %d: the record and the version disagree", got, commitTS)
+	}
+
+	got, err := p.Read(reader, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Write(reader, y, func(tu *storage.Tuple) { tu.Fields[0] = 1 }); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Commit(reader); err != nil {
+		t.Fatalf("reader aborted: %v", err)
+	}
+	switch got.Fields[0] {
+	case 99:
+		if reader.TS <= commitTS {
+			t.Errorf("reader at %d saw the version of %d", reader.TS, commitTS)
+		}
+	case 10:
+		if !p.recent[rec].hadIn {
+			t.Errorf("reader at %d read the version commit %d overwrote, and its rw edge was not recorded", reader.TS, commitTS)
+		}
+	default:
+		t.Fatalf("x = %d", got.Fields[0])
+	}
+}

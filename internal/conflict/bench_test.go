@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tskd/internal/conflict"
+	"tskd/internal/partition"
 	"tskd/internal/txn"
 	"tskd/internal/workload"
 )
@@ -27,16 +28,30 @@ func generate(y workload.YCSB) txn.Workload {
 	return w
 }
 
+// residualIDs returns the IDs Strife leaves in the residual of w: the
+// rows TSgen reads on the serving path (a quarter of sched-hot, none of
+// wire-readmostly).
+func residualIDs(w txn.Workload) []int {
+	plan := partition.NewStrife(1).Partition(w, nil, 2) // the benchmark serves with 2 workers
+	ids := make([]int, len(plan.Residual))
+	for i, t := range plan.Residual {
+		ids[i] = t.ID
+	}
+	return ids
+}
+
 var sinkEdges int
 
-// BenchmarkConflictBuild measures one graph build per bundle on a
-// Builder that has seen the shape before, as core.Pipeline runs it.
+// BenchmarkConflictBuild measures one graph per bundle on a Builder
+// that has seen the shape before, as core.Pipeline runs it: rows=all
+// reads every row (what Schism costs, and every consumer before rows
+// were built on demand), rows=residual only Strife's residual.
 func BenchmarkConflictBuild(b *testing.B) {
 	for _, s := range servedBundles {
-		b.Run(s.name, func(b *testing.B) {
-			w := generate(s.ycsb)
+		w := generate(s.ycsb)
+		b.Run(s.name+"/rows=all", func(b *testing.B) {
 			var bld conflict.Builder
-			bld.Build(w, conflict.Serializability)
+			bld.Build(w, conflict.Serializability).Edges()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -44,11 +59,26 @@ func BenchmarkConflictBuild(b *testing.B) {
 			}
 			b.ReportMetric(float64(sinkEdges)/float64(len(w)), "edges/txn")
 		})
+		b.Run(s.name+"/rows=residual", func(b *testing.B) {
+			ids := residualIDs(w)
+			var bld conflict.Builder
+			bld.Build(w, conflict.Serializability)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g := bld.Build(w, conflict.Serializability)
+				for _, id := range ids {
+					sinkEdges += len(g.Neighbors(id))
+				}
+			}
+			b.ReportMetric(float64(len(ids))/float64(len(w)), "rows/txn")
+		})
 	}
 }
 
 // TestBuilderAllocBudget gates the point of the Builder: once it has
-// sized its buffers for a bundle shape, building allocates nothing.
+// sized its buffers for a bundle shape, building and reading rows —
+// all of them, or a quarter as TSgen does — allocates nothing.
 func TestBuilderAllocBudget(t *testing.T) {
 	for _, s := range servedBundles {
 		w := generate(s.ycsb)
@@ -57,7 +87,15 @@ func TestBuilderAllocBudget(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() {
 			sinkEdges = bld.Build(w, conflict.Serializability).Edges()
 		}); n > 0 {
-			t.Errorf("%s: warmed Builder.Build allocs/op = %v, budget 0", s.name, n)
+			t.Errorf("%s: warmed Builder.Build + every row allocs/op = %v, budget 0", s.name, n)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			g := bld.Build(w, conflict.Serializability)
+			for id := 0; id < len(w); id += 4 {
+				sinkEdges += len(g.Weights(id)) + g.Degree(id)
+			}
+		}); n > 0 {
+			t.Errorf("%s: warmed Builder.Build + a quarter of the rows allocs/op = %v, budget 0", s.name, n)
 		}
 	}
 }

@@ -10,12 +10,12 @@
 //
 // # Layout
 //
-// A Graph is in compressed-sparse-row form: three flat []int32 arrays
-// off (n+1 entries), nbr and wgt, where row id occupies
-// nbr[off[id]:off[id+1]] (neighbor IDs, strictly ascending) and the
-// same range of wgt (the weight of each of those edges). Neighbors and
-// Weights return those ranges as sub-slices; every undirected edge is
-// stored in both of its rows, so len(nbr) == 2*Edges().
+// A Graph is in compressed-sparse-row form: two flat []int32 arenas nbr
+// and wgt plus one span per row, where row id occupies
+// nbr[rows[id].lo:rows[id].hi] (neighbor IDs, strictly ascending) and
+// the same range of wgt (the weight of each of those edges). Neighbors
+// and Weights return those ranges as sub-slices; every undirected edge
+// is stored in both of its rows.
 //
 // # Edge weight
 //
@@ -28,13 +28,27 @@
 //
 // # Builder reuse and graph lifetime
 //
-// A Builder keeps the key index, the row accumulators and the CSR
-// arrays between calls, so a warmed Builder builds without allocating.
-// The price is the lifetime rule: the Graph returned by Builder.Build,
-// and every slice obtained from it, is overwritten by the next Build on
-// the same Builder. Build (the package function) uses a fresh Builder
-// and so returns a graph with no such limit. A Builder is not safe for
-// concurrent use; a Graph is read-only and is.
+// Builder.Build does only the part that is linear in the bundle: it
+// checks the IDs, interns the keys and lists each key's accessors. A
+// row is computed the first time Neighbors, Weights, Degree or Conflict
+// asks for it and appended to the arenas, so rows lie there in
+// first-touch order and a consumer pays for the rows it reads: TSgen
+// reads those of the residual, Strife none, Schism and
+// partition.ExtractResidual all of them; Edges forces every row. The
+// arenas are sized for all rows up front, so a row never moves once it
+// has been returned, and a warmed Builder builds and serves rows
+// without allocating.
+//
+// The price is a narrow contract. Reading a row may write it, so a
+// graph obtained from a Builder belongs to one goroutine until every
+// row has been read; and the graph, with every slice obtained from it,
+// is overwritten by the next Build on the same Builder. A Builder is
+// not safe for concurrent use.
+//
+// Build (the package function) lifts both limits: it forces every row,
+// in ID order, and detaches the graph from its Builder, so the result
+// is immutable, safe for concurrent readers, laid out row after row,
+// and lives as long as it is referenced.
 package conflict
 
 import (
@@ -95,19 +109,30 @@ func intersects(a, b []txn.Key) bool {
 // Graph is the undirected conflict graph of a workload: nodes are
 // transactions (addressed by their dense IDs), and an edge joins every
 // conflicting pair. Rows are sorted for O(log d) membership tests. See
-// the package comment for the layout and the weight definition.
+// the package comment for the layout, the weight definition and, for a
+// graph that came from a Builder, who may read it and for how long.
 type Graph struct {
 	level Isolation
-	off   []int32 // row id is [off[id], off[id+1]) of nbr and wgt
-	nbr   []int32
+	rows  []span  // per row: its range of nbr and wgt
+	nbr   []int32 // arenas, filled up to used in first-touch order
 	wgt   []int32
+	used  int32
+	built int      // rows computed so far
+	from  *Builder // the index rows are computed from; nil once detached
 }
 
+// span is a row's range [lo, hi) of the arenas; lo < 0 marks a row not
+// computed yet.
+type span struct{ lo, hi int32 }
+
 // Build constructs the conflict graph for w under the given isolation
-// level. Transaction IDs must be dense in [0, len(w)); Build panics
-// otherwise, since every consumer indexes by ID.
+// level, every row computed: the result is immutable and safe for
+// concurrent readers. Transaction IDs must be dense in [0, len(w));
+// Build panics otherwise, since every consumer indexes by ID.
 func Build(w txn.Workload, level Isolation) *Graph {
 	g := *new(Builder).Build(w, level) // copied out so the scratch is not kept alive
+	g.Edges()
+	g.from = nil
 	return &g
 }
 
@@ -143,9 +168,12 @@ type Builder struct {
 	seen []uint64
 }
 
-// Build constructs the conflict graph for w like the package-level
-// Build, into storage the next call reuses: the returned graph is valid
-// only until then.
+// Build indexes w for the conflict graph under level and returns the
+// graph with no row computed yet; rows appear as they are read (see the
+// package comment). Graph and rows live in storage the next call
+// reuses, so they are valid only until then, and until every row has
+// been read the graph must stay on the calling goroutine. IDs are
+// checked as in the package-level Build.
 func (b *Builder) Build(w txn.Workload, level Isolation) *Graph {
 	n := len(w)
 	b.byID = grow(b.byID, n)
@@ -167,45 +195,62 @@ func (b *Builder) Build(w txn.Workload, level Isolation) *Graph {
 	b.index(level, accesses)
 	clear(b.byID) // do not pin the bundle's transactions
 
-	// One row per transaction: every writer of a key it reads and every
-	// accessor of a key it writes gains one unit of weight per access.
-	// Sweeping the bitset in word order emits the row sorted.
 	g := &b.g
-	g.level = level
-	g.off = grow(g.off, n+1)
+	g.level, g.from = level, b
+	g.rows = grow(g.rows, n)
+	for id := range g.rows {
+		g.rows[id].lo = -1
+	}
 	g.nbr = grow(g.nbr, b.rowBound())
 	g.wgt = grow(g.wgt, len(g.nbr))
+	g.used, g.built = 0, 0
 	b.cnt = grow(b.cnt, n)
 	b.seen = grow(b.seen, (n+63)/64)
+	return g
+}
+
+// row returns the span of row id, computing the row on first use.
+func (g *Graph) row(id int) span {
+	if s := g.rows[id]; s.lo >= 0 {
+		return s
+	}
+	return g.fill(id)
+}
+
+// fill computes row id into the arenas: every writer of a key the
+// transaction reads and every accessor of a key it writes gains one
+// unit of weight per access, and sweeping the bitset in word order
+// emits the row sorted.
+func (g *Graph) fill(id int) span {
+	b := g.from
 	cnt, seen := b.cnt, b.seen
-	e := 0
-	for id := 0; id < n; id++ {
-		g.off[id] = int32(e)
-		lo, mid, hi := b.tOff[id], b.tMid[id], b.tOff[id+1]
-		for _, k := range b.ref[lo:mid] {
-			tally(b.acc[b.kWr[k]:b.kEnd[k+1]], cnt, seen)
+	lo, mid, hi := b.tOff[id], b.tMid[id], b.tOff[id+1]
+	for _, k := range b.ref[lo:mid] {
+		tally(b.acc[b.kWr[k]:b.kEnd[k+1]], cnt, seen)
+	}
+	for _, k := range b.ref[mid:hi] {
+		tally(b.acc[b.kEnd[k]:b.kEnd[k+1]], cnt, seen)
+	}
+	cnt[id] = 0 // no self edge
+	seen[id>>6] &^= 1 << (id & 63)
+	e := g.used
+	for wi, word := range seen {
+		if word == 0 {
+			continue
 		}
-		for _, k := range b.ref[mid:hi] {
-			tally(b.acc[b.kEnd[k]:b.kEnd[k+1]], cnt, seen)
-		}
-		cnt[id] = 0 // no self edge
-		seen[id>>6] &^= 1 << (id & 63)
-		for wi, word := range seen {
-			if word == 0 {
-				continue
-			}
-			seen[wi] = 0
-			for ; word != 0; word &= word - 1 {
-				o := int32(wi<<6 | bits.TrailingZeros64(word))
-				g.nbr[e], g.wgt[e] = o, cnt[o]
-				cnt[o] = 0
-				e++
-			}
+		seen[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			o := int32(wi<<6 | bits.TrailingZeros64(word))
+			g.nbr[e], g.wgt[e] = o, cnt[o]
+			cnt[o] = 0
+			e++
 		}
 	}
-	g.off[n] = int32(e)
-	g.nbr, g.wgt = g.nbr[:e], g.wgt[:e]
-	return g
+	s := span{g.used, e}
+	g.rows[id] = s
+	g.used = e
+	g.built++
+	return s
 }
 
 // tally adds one unit of weight for every entry of list.
@@ -334,23 +379,33 @@ func grow[T any](s []T, n int) []T {
 // Weights returns the edge weights parallel to Neighbors(id) (see the
 // package comment for the definition). Callers must not mutate the
 // result.
-func (g *Graph) Weights(id int) []int32 { return row(g.wgt, g.off, id) }
+func (g *Graph) Weights(id int) []int32 { return g.slice(g.wgt, id) }
 
 // Level returns the isolation level the graph was built under.
 func (g *Graph) Level() Isolation { return g.level }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.off) - 1 }
+func (g *Graph) N() int { return len(g.rows) }
 
-// Edges returns the number of undirected edges.
-func (g *Graph) Edges() int { return len(g.nbr) / 2 }
+// Edges returns the number of undirected edges. Every row has to be
+// computed to know it: on a graph from a Builder, Edges costs whatever
+// rows have not been read yet.
+func (g *Graph) Edges() int {
+	for id := 0; g.built < len(g.rows); id++ {
+		g.row(id)
+	}
+	return int(g.used) / 2
+}
 
 // Neighbors returns the sorted IDs of transactions in conflict with id.
 // Callers must not mutate the result.
-func (g *Graph) Neighbors(id int) []int32 { return row(g.nbr, g.off, id) }
+func (g *Graph) Neighbors(id int) []int32 { return g.slice(g.nbr, id) }
 
 // Degree returns the number of conflicts of id.
-func (g *Graph) Degree(id int) int { return int(g.off[id+1] - g.off[id]) }
+func (g *Graph) Degree(id int) int {
+	s := g.row(id)
+	return int(s.hi - s.lo)
+}
 
 // Conflict reports whether transactions a and b are joined by an edge.
 func (g *Graph) Conflict(a, b int) bool {
@@ -359,9 +414,9 @@ func (g *Graph) Conflict(a, b int) bool {
 	return i < len(ns) && ns[i] == int32(b)
 }
 
-// row returns row id of a CSR array, capped so an append by the caller
-// cannot reach the next row.
-func row(a, off []int32, id int) []int32 {
-	lo, hi := off[id], off[id+1]
-	return a[lo:hi:hi]
+// slice returns row id of arena a, capped so an append by the caller
+// cannot reach the row behind it.
+func (g *Graph) slice(a []int32, id int) []int32 {
+	s := g.row(id)
+	return a[s.lo:s.hi:s.hi]
 }

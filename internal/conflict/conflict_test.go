@@ -246,11 +246,121 @@ func TestBuilderReuse(t *testing.T) {
 	}
 }
 
+// touch reads row id of g through one of the four accessors that can
+// compute a row (how&3: Neighbors then Weights, Weights alone, Degree
+// then Neighbors, Conflict against how>>2) and compares what it sees
+// with the fully built graph want.
+func touch(t *testing.T, g, want *Graph, id int, how int) {
+	t.Helper()
+	same := func(what string, got, want []int32) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s(%d) = %v, want %v", what, id, got, want)
+		}
+	}
+	switch how & 3 {
+	case 0:
+		same("Neighbors", g.Neighbors(id), want.Neighbors(id))
+		same("Weights", g.Weights(id), want.Weights(id))
+	case 1:
+		same("Weights", g.Weights(id), want.Weights(id))
+	case 2:
+		if d := g.Degree(id); d != want.Degree(id) {
+			t.Fatalf("Degree(%d) = %d, want %d", id, d, want.Degree(id))
+		}
+		same("Neighbors after Degree", g.Neighbors(id), want.Neighbors(id))
+	case 3:
+		o := (how >> 2) % g.N()
+		if c := g.Conflict(id, o); c != want.Conflict(id, o) {
+			t.Fatalf("Conflict(%d,%d) = %v, want %v", id, o, c, want.Conflict(id, o))
+		}
+	}
+}
+
+// TestRowsOnDemandMatchEager reads a Builder's graph the way its
+// consumers do — some rows, in any order, some twice, through any
+// accessor first — and compares every answer with the package-level
+// Build, then lets checkGraph read the rest.
+func TestRowsOnDemandMatchEager(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var b Builder
+	for _, n := range []int{0, 1, 2, 20, 63, 64, 65, 130} {
+		for _, hot := range []bool{false, true} {
+			for _, lvl := range []Isolation{Serializability, SnapshotIsolation} {
+				w := randomBundle(r, n, hot)
+				want := Build(w, lvl)
+				g := b.Build(w, lvl)
+				if g.N() != n || g.Level() != lvl || g.built != 0 {
+					t.Fatalf("fresh graph: N = %d, Level = %v, %d rows built; want %d, %v, 0", g.N(), g.Level(), g.built, n, lvl)
+				}
+				read := make(map[int]bool)
+				for _, id := range r.Perm(n)[:n/2] {
+					touch(t, g, want, id, r.Int())
+					read[id] = true
+					if r.Intn(3) == 0 { // again, through another accessor
+						touch(t, g, want, id, r.Int())
+					}
+					if g.built != len(read) {
+						t.Fatalf("n=%d: %d rows built after reading %d distinct ones", n, g.built, len(read))
+					}
+				}
+				checkGraph(t, w, lvl, g)
+				if g.built != n {
+					t.Fatalf("n=%d: %d rows built after reading all", n, g.built)
+				}
+			}
+		}
+	}
+}
+
+// TestBuilderReusePartial runs bundles of different shapes through one
+// Builder reading only a tenth of each hot bundle's rows, so most of
+// the arena and of the row table still holds the bundle before: no row
+// of an earlier bundle may be served, and a row handed out early must
+// not change while the rest of its bundle is computed around it (TSgen
+// holds Neighbors(T*) across ckRCF).
+func TestBuilderReusePartial(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	var b Builder
+	for round := 0; round < 3; round++ {
+		for _, c := range []struct {
+			n    int
+			hot  bool
+			read int // rows read before the rest, in percent
+		}{{130, true, 10}, {65, false, 50}, {0, false, 0}, {100, true, 10}} {
+			w := randomBundle(r, c.n, c.hot)
+			want := Build(w, Serializability)
+			g := b.Build(w, Serializability)
+			early := r.Perm(c.n)[:c.n*c.read/100]
+			held := make([][]int32, 0, 2*len(early))
+			for _, id := range early {
+				held = append(held, g.Neighbors(id), g.Weights(id))
+			}
+			kept := make([][]int32, len(held))
+			for i, row := range held {
+				kept[i] = slices.Clone(row)
+			}
+			if round != 1 { // round 1 leaves its bundles partly read
+				checkGraph(t, w, Serializability, g) // reads every other row
+			}
+			for i, id := range early {
+				if !slices.Equal(held[2*i], kept[2*i]) || !slices.Equal(held[2*i+1], kept[2*i+1]) {
+					t.Fatalf("round %d n=%d: row %d changed after it was returned", round, c.n, id)
+				}
+				if !slices.Equal(held[2*i], want.Neighbors(id)) {
+					t.Fatalf("round %d n=%d: row %d = %v, want %v", round, c.n, id, held[2*i], want.Neighbors(id))
+				}
+			}
+		}
+	}
+}
+
 // FuzzBuildParity decodes the input into a bundle and checks the graph
 // against the pairwise definitions. Byte 0 picks the isolation level
 // and whether w is reversed; 0xff ends a transaction; any other byte is
 // one operation (top two bits: read, write, update, insert) on one of
-// 64 keys.
+// 64 keys. The same bytes then drive which rows of the Builder's graph
+// are read first, and through which accessor.
 func FuzzBuildParity(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0x01, 0x41, 0x81, 0xff, 0x01, 0xff, 0x41})
@@ -291,8 +401,13 @@ func FuzzBuildParity(f *testing.F) {
 			slices.Reverse(w)
 		}
 		lvl := Isolation(flags & 1)
-		checkGraph(t, w, lvl, Build(w, lvl))
-		checkGraph(t, w, lvl, b.Build(w, lvl))
+		want := Build(w, lvl)
+		checkGraph(t, w, lvl, want)
+		g := b.Build(w, lvl)
+		for i, c := range data {
+			touch(t, g, want, int(c)%len(w), i)
+		}
+		checkGraph(t, w, lvl, g)
 	})
 }
 

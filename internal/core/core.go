@@ -72,12 +72,16 @@ type Options struct {
 	// partitioner degenerating to round-robin spread) and deferp is
 	// raised, trading schedule quality for lower scheduling latency and
 	// more proactive deferment while the serving layer is saturated.
+	// Under a Pipeline it also sheds the conflict-graph rows TSgen would
+	// have read: only a partitioner that reads the graph still pays for
+	// them, and Strife reads none.
 	Brownout bool
 	// Seed drives all randomized pieces.
 	Seed int64
 
-	// graphs, set by Pipeline, builds each bundle's conflict graph in
-	// storage reused from the previous bundle; nil builds a fresh one.
+	// graphs, set by Pipeline, indexes each bundle's conflict graph in
+	// storage reused from the previous bundle and computes rows as they
+	// are read; nil builds a fresh graph with every row computed.
 	graphs *conflict.Builder
 }
 
@@ -93,9 +97,12 @@ func (o Options) normalized() Options {
 }
 
 // conflictGraph builds the conflict graph of w. Under a Pipeline the
-// graph lives in the pipeline's Builder and is overwritten by the next
-// bundle, so nothing that outlives the Run* call (a Result, a learned
-// cost) may keep it or a slice of it.
+// graph lives in the pipeline's Builder: its rows are computed when the
+// partitioner or TSgen first reads them, so it must stay on the
+// goroutine of the Run* call, and it is overwritten by the next bundle,
+// so nothing that outlives the call (a Result, a learned cost) may keep
+// it or a slice of it. Elsewhere every row is computed here, as the
+// paper's overheadR accounting assumes.
 func (o Options) conflictGraph(w txn.Workload) *conflict.Graph {
 	if o.graphs != nil {
 		return o.graphs.Build(w, o.Isolation)
@@ -142,7 +149,10 @@ type Result struct {
 	// LoadRatio is max/min partition (or queue) op-count load.
 	LoadRatio float64
 	// PartitionTime is the time the partitioner took (including the
-	// conflict graph it builds and TSgen reuses).
+	// conflict graph it builds and TSgen reuses). Under a Pipeline the
+	// graph's rows are computed by their first reader: under Strife,
+	// which reads none, PartitionTime keeps the graph's index and the
+	// residual's rows count into SchedTime.
 	PartitionTime time.Duration
 	// SchedTime is the time TSgen took (the overhead TsPAR adds).
 	SchedTime time.Duration

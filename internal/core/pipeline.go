@@ -27,7 +27,7 @@ type Pipeline struct {
 	Opts Options
 
 	history  *estimator.History
-	graphs   conflict.Builder // conflict-graph storage, reused bundle after bundle
+	graphs   conflict.Builder // conflict-graph index and rows, reused bundle after bundle
 	bundles  int
 	brownout bool
 }
@@ -52,9 +52,11 @@ func (pl *Pipeline) HistorySize() int { return pl.history.Len() }
 func (pl *Pipeline) SetBrownout(on bool) { pl.brownout = on }
 
 // Process schedules and executes one bundle, learning its costs. The
-// bundle's conflict graph is built in the pipeline's own storage and
-// lives for this call only: the next Process overwrites it, so like
-// SetBrownout, Process must not be called concurrently.
+// bundle's conflict graph is indexed in the pipeline's own storage and
+// its rows are computed as the partitioner and TSgen read them, so the
+// bundle pays for the rows of its residual, not for all of them. The
+// graph lives for this call only: the next Process overwrites it, so
+// like SetBrownout, Process must not be called concurrently.
 func (pl *Pipeline) Process(w txn.Workload) (Result, error) {
 	return pl.ProcessContext(context.Background(), w)
 }

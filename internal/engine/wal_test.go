@@ -39,11 +39,12 @@ func TestWALRecoveryEquivalence(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Flushes == 0 || l.Records == 0 {
+	records, flushes, _ := l.Counters()
+	if flushes == 0 || records == 0 {
 		t.Fatal("nothing logged")
 	}
 	t.Logf("records=%d flushes=%d (group factor %.1f)",
-		l.Records, l.Flushes, float64(l.Records)/float64(l.Flushes))
+		records, flushes, float64(records)/float64(flushes))
 
 	// Crash recovery: fresh load, replay.
 	recovered := cfg.BuildDB()
@@ -51,8 +52,8 @@ func TestWALRecoveryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint64(n) != l.Records {
-		t.Fatalf("recovered %d of %d records", n, l.Records)
+	if uint64(n) != records {
+		t.Fatalf("recovered %d of %d records", n, records)
 	}
 	// Every row must match.
 	mismatch := 0

@@ -62,7 +62,9 @@ const (
 // Generate is algorithm TSgen (Algorithm 1): it refines the partition
 // plan into a schedule for w over plan.K() threads, reusing the
 // conflict graph g built by the partitioner and the cost estimates of
-// est.
+// est. Of g it reads only the rows of plan.Residual (lines 7-10 look at
+// the conflicts of T* alone), which is what keeps TSgen linear in the
+// residual when g computes rows on demand.
 //
 // The plan's CC-free partitions must be pairwise conflict-free (as
 // produced natively by Strife, or via partition.ExtractResidual for

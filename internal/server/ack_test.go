@@ -136,6 +136,64 @@ func TestAckWaitsForBundleBarrier(t *testing.T) {
 	}
 }
 
+// TestStatsAnswerWhileFsyncIsHeld: the log holds its mutex across the
+// fsync, and a stalled disk is exactly when an operator asks /metrics
+// what is going on, so Stats must not queue up behind it. The WAL
+// counters it reports are read without the log's mutex and, once the
+// fsync returns, say what they always said.
+func TestStatsAnswerWhileFsyncIsHeld(t *testing.T) {
+	const n = 16
+	hs := &heldSyncer{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	cfg := durableConfig(t.TempDir(), workload.YCSB{Records: 64})
+	cfg.Durability.NoSync = false
+	cfg.Durability.WrapSyncer = hs.wrap
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	release := sync.OnceFunc(func() { close(hs.release) })
+	defer release()
+
+	out := submitPipelined(t, s.Addr(), markerReqs(t, 100, n))
+	select {
+	case <-hs.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the bundle never reached its fsync")
+	}
+	held := make(chan Stats, 1)
+	go func() { held <- s.Stats() }()
+	select {
+	case st := <-held:
+		// The stuck flush is visible as such: written, not yet synced.
+		if st.WALRecords == 0 || st.WALBytes == 0 || st.WALFlushes != 1 || st.WALSyncs != 0 {
+			t.Errorf("during the held fsync: %d records, %d bytes, %d flushes, %d syncs; want >0, >0, 1, 0",
+				st.WALRecords, st.WALBytes, st.WALFlushes, st.WALSyncs)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("Stats blocked behind the held fsync")
+	}
+	release()
+	for i := 0; i < n; i++ {
+		select {
+		case resp := <-out:
+			if !resp.Committed() {
+				t.Fatalf("after release: status %q (%s)", resp.Status, resp.Error)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d responses after release", i, n)
+		}
+	}
+	st := s.Stats()
+	if st.WALRecords != n || st.WALFlushes != uint64(st.Bundles) || st.WALSyncs != st.WALFlushes || st.WALBytes == 0 {
+		t.Errorf("after release: %d records, %d flushes, %d syncs, %d bytes over %d bundles; want %d records and one flush and sync per bundle",
+			st.WALRecords, st.WALFlushes, st.WALSyncs, st.WALBytes, st.Bundles, n)
+	}
+}
+
 // TestFailedBarrierAcksNothing: when a bundle's barrier fails — the
 // fsync errors, or the flush gate vetoes (a lapsed lease) — nothing
 // from that bundle is acknowledged and none of its idempotency keys

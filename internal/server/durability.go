@@ -63,7 +63,8 @@ type DurabilityOptions struct {
 	// WrapSyncer, when set, decorates the log's fsync syncer — on the
 	// initial segment and again after every rotation. Fault injection
 	// only (the chaos harness stalls fsyncs through it); ignored under
-	// NoSync.
+	// NoSync, and refused by New in sharded mode, where the shards open
+	// their own logs and would not see it.
 	WrapSyncer func(wal.Syncer) wal.Syncer
 	// Replication, when set, makes this server a replicating primary:
 	// every WAL flush is shipped through this live shipper to a backup

@@ -124,6 +124,11 @@ func (c *Config) withDefaults() error {
 		if c.ShardDB == nil {
 			return errors.New("server: Config.ShardDB is required in sharded mode")
 		}
+		if c.Durability != nil && c.Durability.WrapSyncer != nil {
+			// Better to refuse than to let a fault-injection run believe
+			// it is stalling fsyncs that it never touches.
+			return errors.New("server: DurabilityOptions.WrapSyncer is not supported in sharded mode (Shards > 1): the shards' logs would ignore it")
+		}
 	} else if c.DB == nil {
 		return errors.New("server: Config.DB is required")
 	}

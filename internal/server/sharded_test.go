@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"tskd/internal/shard"
 	"tskd/internal/storage"
 	"tskd/internal/txn"
+	"tskd/internal/wal"
 	"tskd/internal/workload"
 )
 
@@ -311,6 +313,39 @@ func TestShardedDurableRestart(t *testing.T) {
 		}
 		if resp.Status != client.StatusCommit || !resp.Duplicate {
 			t.Errorf("seq %d resubmit status %q dup=%v, want cached commit", req.Seq, resp.Status, resp.Duplicate)
+		}
+	}
+}
+
+// TestConfigRejectsUnsupportedCombinations: New refuses a configuration
+// it would otherwise run while silently dropping part of it.
+func TestConfigRejectsUnsupportedCombinations(t *testing.T) {
+	ycsb := workload.YCSB{Records: 16}
+	shardDB := func(int) *storage.DB { return ycsb.BuildDB() }
+	wrap := func(s wal.Syncer) wal.Syncer { return s }
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		wantErr string // substring; "" = accepted
+	}{
+		{"unsharded without DB", Config{}, "Config.DB is required"},
+		{"sharded without ShardDB", Config{Shards: 2}, "Config.ShardDB is required"},
+		{"durable without Dir", Config{DB: ycsb.BuildDB(), Durability: &DurabilityOptions{}}, "Dir is required"},
+		{"WrapSyncer, sharded", Config{Shards: 2, ShardDB: shardDB,
+			Durability: &DurabilityOptions{Dir: t.TempDir(), WrapSyncer: wrap}}, "WrapSyncer is not supported in sharded mode"},
+		{"WrapSyncer, unsharded", Config{DB: ycsb.BuildDB(),
+			Durability: &DurabilityOptions{Dir: t.TempDir(), WrapSyncer: wrap}}, ""},
+		{"WrapSyncer, Shards = 1", Config{Shards: 1, DB: ycsb.BuildDB(),
+			Durability: &DurabilityOptions{Dir: t.TempDir(), WrapSyncer: wrap}}, ""},
+		{"sharded and durable, no WrapSyncer", Config{Shards: 2, ShardDB: shardDB,
+			Durability: &DurabilityOptions{Dir: t.TempDir()}}, ""},
+	} {
+		err := c.cfg.withDefaults()
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.wantErr)
 		}
 	}
 }

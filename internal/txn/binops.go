@@ -51,7 +51,7 @@ func ParseBinaryInto(t *Transaction, id int, b []byte) error {
 	if cap(ops) < n {
 		ops = make([]Op, 0, n)
 	}
-	*t = Transaction{ID: id, Ops: ops, readSet: t.readSet[:0], writeSet: t.writeSet[:0]}
+	*t = Transaction{ID: id, Ops: ops, readSet: t.readSet[:0], writeSet: t.writeSet[:0], accessSet: t.accessSet[:0]}
 	if len(b)%OpWireBytes != 0 {
 		return fmt.Errorf("txn: binary ops blob of %d bytes is not a whole number of %d-byte records", len(b), OpWireBytes)
 	}

@@ -30,7 +30,7 @@ func ParseInto(t *Transaction, id int, s string) error {
 	if n := strings.Count(s, "["); cap(ops) < n {
 		ops = make([]Op, 0, n)
 	}
-	*t = Transaction{ID: id, Ops: ops, readSet: t.readSet[:0], writeSet: t.writeSet[:0]}
+	*t = Transaction{ID: id, Ops: ops, readSet: t.readSet[:0], writeSet: t.writeSet[:0], accessSet: t.accessSet[:0]}
 	parsed, err := ParseOps(ops, s)
 	if err != nil {
 		return t.parseFail("%w", err)

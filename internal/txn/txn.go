@@ -146,7 +146,8 @@ type Transaction struct {
 
 	readSet   []Key // lazily computed, sorted, deduplicated
 	writeSet  []Key // lazily computed, sorted, deduplicated
-	setsValid bool  // readSet/writeSet reflect Ops (capacity is reused)
+	accessSet []Key // their union, computed with them
+	setsValid bool  // the three sets reflect Ops (capacity is reused)
 }
 
 // New returns a transaction with the given id and operations.
@@ -285,16 +286,37 @@ func (t *Transaction) computeSets() {
 	if t.writeSet == nil {
 		t.writeSet = []Key{}
 	}
+	t.accessSet = union(t.accessSet[:0], t.readSet, t.writeSet)
 	t.setsValid = true
 }
 
 // AccessSet returns the sorted, deduplicated union of the read and
-// write sets of t. The caller owns the returned slice.
+// write sets of t. The result is cached; callers must not mutate it.
 func (t *Transaction) AccessSet() []Key {
-	u := make([]Key, 0, len(t.ReadSet())+len(t.WriteSet()))
-	u = append(u, t.ReadSet()...)
-	u = append(u, t.WriteSet()...)
-	return dedupe(u)
+	if !t.setsValid {
+		t.computeSets()
+	}
+	return t.accessSet
+}
+
+// union merges the sorted, duplicate-free sets a and b into dst[:0],
+// which is reallocated, once and to the most the union can hold, only
+// when it is too small. The result is never nil.
+func union(dst, a, b []Key) []Key {
+	if n := len(a) + len(b); dst == nil || cap(dst) < n {
+		dst = make([]Key, 0, n)
+	}
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			dst, a = append(dst, a[0]), a[1:]
+		case a[0] > b[0]:
+			dst, b = append(dst, b[0]), b[1:]
+		default:
+			dst, a, b = append(dst, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
 }
 
 func dedupe(ks []Key) []Key {

@@ -104,6 +104,79 @@ func TestAccessSetUnion(t *testing.T) {
 	}
 }
 
+// TestAccessSetMatchesSortAndDedupe compares the cached union with
+// the definition (concatenate both sets, sort, drop duplicates) on
+// random operation lists, among them empty, read-only, write-only and
+// read-modify-write-only transactions.
+func TestAccessSetMatchesSortAndDedupe(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		kinds := [][]OpKind{
+			{OpRead, OpWrite, OpInsert, OpUpdate},
+			{OpRead},
+			{OpWrite, OpInsert},
+			{OpUpdate},
+		}[i%4]
+		tx := New(i)
+		for j, n := 0, r.Intn(12); j < n; j++ {
+			tx.Ops = append(tx.Ops, Op{Kind: kinds[r.Intn(len(kinds))], Key: MakeKey(0, uint64(r.Intn(8)))})
+		}
+		want := append(append([]Key{}, tx.ReadSet()...), tx.WriteSet()...)
+		want = dedupe(want)
+		got := tx.AccessSet()
+		if got == nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("ops %v: AccessSet = %v, want %v", tx.Ops, got, want)
+		}
+		// A builder call invalidates the union with the other two sets.
+		tx.W(MakeKey(0, 99))
+		if got := tx.AccessSet(); got[len(got)-1] != MakeKey(0, 99) {
+			t.Fatalf("AccessSet not recomputed after W: %v", got)
+		}
+	}
+}
+
+// TestAccessSetAllocBudget: the union is computed once, with the other
+// sets, into a slice sized once; a pooled transaction keeps that slice
+// across both resets, so decode + all three sets allocate nothing.
+func TestAccessSetAllocBudget(t *testing.T) {
+	tx := MustParse(0, "R[x1]W[x2]R[x3]R[x2]W[x7]")
+	tx.AccessSet()
+	if n := testing.AllocsPerRun(100, func() { sinkKeys = tx.AccessSet() }); n > 0 {
+		t.Errorf("warmed AccessSet allocs/op = %v, budget 0", n)
+	}
+	blob, err := AppendOpsBinary(nil, tx.Ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, reset := range map[string]func() error{
+		"ParseInto":       func() error { return ParseInto(tx, 0, "R[x1]W[x2]R[x3]R[x2]W[x7]") },
+		"ParseBinaryInto": func() error { return ParseBinaryInto(tx, 0, blob) },
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := reset(); err != nil {
+				t.Fatal(err)
+			}
+			sinkKeys = tx.AccessSet()
+		}); n > 0 {
+			t.Errorf("%s + AccessSet on a pooled transaction allocs/op = %v, budget 0", name, n)
+		}
+	}
+	// Un-pooled: one allocation for the union, however many keys.
+	ops := make([]Op, 64)
+	for i := range ops {
+		ops[i] = Op{Kind: OpUpdate, Key: MakeKey(0, uint64(i))}
+	}
+	rs, ws := make([]Key, 0, len(ops)), make([]Key, 0, len(ops))
+	if n := testing.AllocsPerRun(100, func() {
+		fresh := Transaction{Ops: ops, readSet: rs, writeSet: ws}
+		sinkKeys = fresh.AccessSet()
+	}); n != 1 {
+		t.Errorf("first AccessSet of a 64-key transaction allocs/op = %v, want 1: the union, sized once", n)
+	}
+}
+
+var sinkKeys []Key
+
 func TestParseExample1(t *testing.T) {
 	// The five transactions of Example 1 in the paper.
 	w := MustParseWorkload(`

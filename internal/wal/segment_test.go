@@ -210,8 +210,8 @@ func TestDurableSyncCounting(t *testing.T) {
 		}
 	}
 	l.Close()
-	if l.Syncs != l.Flushes || l.Syncs != 5 {
-		t.Fatalf("syncs = %d, flushes = %d, want 5 each", l.Syncs, l.Flushes)
+	if _, flushes, syncs := l.Counters(); syncs != flushes || syncs != 5 {
+		t.Fatalf("syncs = %d, flushes = %d, want 5 each", syncs, flushes)
 	}
 }
 

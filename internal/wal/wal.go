@@ -52,6 +52,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -190,9 +191,7 @@ type Log struct {
 	flushTimer  *time.Timer
 	closed      bool
 
-	// LSN and byte accounting.
 	nextLSN uint64 // LSN the next appended record receives
-	bytes   int64  // total bytes appended over the log's lifetime
 
 	// Segmented (directory-backed) mode; zero values for plain logs.
 	dir        string
@@ -202,12 +201,13 @@ type Log struct {
 	active     *os.File
 	sealed     []SegmentInfo
 
-	// Flushes counts physical flushes (for observing group commit).
-	Flushes uint64
-	// Syncs counts Syncer barriers issued (one per flush when armed).
-	Syncs uint64
-	// Records counts appended records.
-	Records uint64
+	// Lifetime counts, written under mu and read without it (Counters,
+	// AppendedBytes): mu is held across the Syncer call, and a stalled
+	// disk is when somebody wants to look at them.
+	records atomic.Uint64 // appended records
+	flushes atomic.Uint64 // physical flushes (for observing group commit)
+	syncs   atomic.Uint64 // Syncer barriers issued (one per flush when armed)
+	bytes   atomic.Int64  // bytes appended, headers included
 }
 
 // New returns a log writing to w with the given group-commit window
@@ -239,12 +239,9 @@ func (l *Log) NextLSN() uint64 {
 
 // AppendedBytes returns the total bytes appended over the log's
 // lifetime (headers included). The serving layer's checkpointer uses
-// the delta since the last checkpoint as its trigger.
-func (l *Log) AppendedBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytes
-}
+// the delta since the last checkpoint as its trigger. Like Counters it
+// does not wait for a flush in progress.
+func (l *Log) AppendedBytes() int64 { return l.bytes.Load() }
 
 // SetMonitor installs the flush monitor (nil removes it). Install
 // before traffic: the monitor is read under the log's mutex.
@@ -270,13 +267,13 @@ func (l *Log) SetFlushGate(g FlushGate) {
 	l.mu.Unlock()
 }
 
-// Counters returns (records, flushes, syncs) under the log's mutex —
-// the race-safe way to observe a live log (the exported fields are for
-// single-threaded inspection after Close).
+// Counters returns how many records were appended, how many physical
+// flushes were made and how many Syncer barriers were issued over the
+// log's lifetime. It does not take the log's mutex, so it answers while
+// a flush is stuck in its fsync; on a live log the three numbers are
+// each current but not one consistent cut.
 func (l *Log) Counters() (records, flushes, syncs uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.Records, l.Flushes, l.Syncs
+	return l.records.Load(), l.flushes.Load(), l.syncs.Load()
 }
 
 // ErrClosed reports appends to a closed log.
@@ -302,9 +299,9 @@ func (l *Log) appendLocked(rec Record) (uint64, error) {
 	before := len(l.pending)
 	l.pending = appendRecord(l.pending, rec)
 	lsn := l.nextLSN
-	l.Records++
+	l.records.Add(1)
 	l.nextLSN++
-	l.bytes += int64(len(l.pending) - before)
+	l.bytes.Add(int64(len(l.pending) - before))
 	return lsn, nil
 }
 
@@ -421,10 +418,10 @@ func (l *Log) flushLocked() error {
 	}
 	_, err := l.w.Write(group)
 	l.pending = l.pending[:0]
-	l.Flushes++
+	l.flushes.Add(1)
 	if err == nil && l.sync != nil {
 		err = l.sync.Sync()
-		l.Syncs++
+		l.syncs.Add(1)
 	}
 	if l.monitor != nil {
 		l.monitor.FlushEnd(time.Since(start), err)

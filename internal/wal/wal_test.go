@@ -91,11 +91,12 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 	wg.Wait()
 	l.Close()
-	if l.Records != n {
-		t.Fatalf("Records = %d", l.Records)
+	records, flushes, _ := l.Counters()
+	if records != n {
+		t.Fatalf("records = %d", records)
 	}
-	if l.Flushes >= n {
-		t.Errorf("Flushes = %d; group commit should batch well below %d", l.Flushes, n)
+	if flushes >= n {
+		t.Errorf("flushes = %d; group commit should batch well below %d", flushes, n)
 	}
 	cnt, _ := Replay(bytes.NewReader(buf.Bytes()), func(Record) error { return nil })
 	if cnt != n {
