@@ -14,12 +14,14 @@ race:
 # append/flush path (per record and per bundle), the engine phase loop
 # (plain, TsDEFER, and with a no-fsync WAL attached), and the
 # conflict graph at the served bundle shapes (every row, and only the
-# rows of Strife's residual).
+# rows of Strife's residual), and overlapping cross-shard commits
+# through the 2PC coordinator's hold (commits/s, vote-no per commit).
 bench-micro:
 	$(GO) test -run xxx -bench 'BenchmarkWire' -benchmem ./internal/client/
 	$(GO) test -run xxx -bench 'BenchmarkWALFlush' -benchmem ./internal/wal/
 	$(GO) test -run xxx -bench 'BenchmarkPhaseLoop' -benchmem ./internal/engine/
 	$(GO) test -run xxx -bench 'BenchmarkConflictBuild' -benchmem ./internal/conflict/
+	$(GO) test -run xxx -bench 'BenchmarkCrossShardHotKey' -benchmem ./internal/shard/
 
 # End-to-end serve-path baseline: boots an in-process server, drives it
 # over TCP, and rewrites BENCH_serve.json (the old "current" becomes

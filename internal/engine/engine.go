@@ -321,8 +321,7 @@ func Run(w txn.Workload, phases []Phase, cfg Config) Metrics {
 		wk := &sc.workers[i]
 		wk.id = i
 		wk.cfg = cfg
-		wk.src = rand.NewSource(cfg.Seed)
-		wk.rng = rand.New(wk.src)
+		wk.rng = rand.New(&wk.src) // seeded per phase by runPhase
 		wk.ccStats = &sc.ccStats[i]
 		wk.byID = byID
 		wk.stats = &sc.stats[i]
@@ -519,12 +518,32 @@ func (ws *workerStats) tpl(name string) *TemplateMetrics {
 	return tm
 }
 
+// splitmix is the workers' random source: splitmix64 (Steele, Lea and
+// Flood, "Fast Splittable Pseudorandom Number Generators"), whose whole
+// state is the seed. runPhase reseeds every worker every phase, which
+// with math/rand's own source meant filling a 607-word lagged-Fibonacci
+// table each time; the draws here pick backoff jitter and deferral
+// coin flips, for which 64 well-mixed bits per draw are plenty.
+type splitmix uint64
+
+func (s *splitmix) Seed(seed int64) { *s = splitmix(seed) }
+
+func (s *splitmix) Uint64() uint64 {
+	*s += 0x9E3779B97F4A7C15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+func (s *splitmix) Int63() int64 { return int64(s.Uint64() >> 1) }
+
 // worker executes one thread's list for one phase. Workers live for the
 // whole run; runPhase reseeds src and swaps the tracker between phases.
 type worker struct {
 	id        int
 	cfg       Config
-	src       rand.Source
+	src       splitmix
 	rng       *rand.Rand
 	ctx       *cc.Ctx
 	ccStats   *cc.Stats

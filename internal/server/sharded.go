@@ -114,13 +114,13 @@ func (s *Server) serveShardedParsed(req *client.Request, t *txn.Transaction, cw 
 	seq := req.Seq
 	s.rt.Submit(t, func(resp client.Response) {
 		resp.Seq = seq
-		delivered := cw.send(resp)
-		s.count(func(st *Stats) {
-			st.ResultsStreamed++
-			if !delivered {
-				st.Forfeited++
-			}
-		})
+		// Count before sending, as the unsharded server does: a client
+		// that has its response must find it in Stats. Whether it was
+		// delivered is only known afterwards.
+		s.count(func(st *Stats) { st.ResultsStreamed++ })
+		if !cw.send(resp) {
+			s.count(func(st *Stats) { st.Forfeited++ })
+		}
 	})
 }
 

@@ -186,6 +186,45 @@ func TestShardedEndToEnd(t *testing.T) {
 	if len(mst.Shards) != shards || mst.TwoPC == nil {
 		t.Errorf("/metrics missing sharded counters: shards=%d twopc=%v", len(mst.Shards), mst.TwoPC != nil)
 	}
+	// The prepare vote-no share and the coordinator's hold time are
+	// read from here.
+	for _, gauge := range []string{`"aborted_vote":`, `"held":`, `"hold_wait_us":`} {
+		if !strings.Contains(string(body), gauge) {
+			t.Errorf("/metrics has no %s field", gauge)
+		}
+	}
+}
+
+// TestShardedDeadlineExpiresAtBundleFormation is the sharded twin of
+// TestDeadlineExpiresAtBundleFormation, and carries its ordering
+// assertion: a client that holds its response finds it counted —
+// by the unit (Expired) and by the serving layer (ResultsStreamed) —
+// because both count before the response is sent.
+func TestShardedDeadlineExpiresAtBundleFormation(t *testing.T) {
+	s, ycsb := startSharded(t, 2, func(c *Config) { c.FlushInterval = 50 * time.Millisecond })
+	defer s.Shutdown(context.Background())
+
+	conn, err := client.Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	reqs, _ := genShardedRequests(t, ycsb, 2, 1, 0, 43)
+	reqs[0].DeadlineMS = 1 // << 50ms flush interval
+	resp, err := conn.Submit(context.Background(), reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != client.StatusExpired {
+		t.Fatalf("status %q, want %q", resp.Status, client.StatusExpired)
+	}
+	st := s.Stats()
+	if st.Expired != 1 || st.Committed != 0 {
+		t.Fatalf("expired=%d committed=%d, want 1/0", st.Expired, st.Committed)
+	}
+	if st.Admitted != 1 || st.ResultsStreamed != 1 || st.Forfeited != 0 {
+		t.Fatalf("admitted=%d results=%d forfeited=%d, want 1/1/0", st.Admitted, st.ResultsStreamed, st.Forfeited)
+	}
 }
 
 // TestShardedStatsRollUpDefers pipelines hot single-shard traffic into

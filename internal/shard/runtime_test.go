@@ -35,7 +35,7 @@ func openTest(t *testing.T, shards int, d *Durability) *Runtime {
 	return rt
 }
 
-func shutdown(t *testing.T, rt *Runtime) {
+func shutdown(t testing.TB, rt *Runtime) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -23,9 +23,21 @@
 // record with no matching decision resolves to abort at recovery, and
 // an aborting coordinator writes nothing. Keys touched by an in-doubt
 // prepare are quiesced — local transactions that overlap them are
-// parked until the decision arrives, and a second prepare that
-// overlaps votes no immediately (no waiting, hence no distributed
-// deadlock).
+// parked until the decision arrives.
+//
+// Conflicts between cross-shard transactions are ordered where they
+// are cheapest to see, at the coordinator (hold.go): it is the paper's
+// runtime-conflict idea, TsDEFER, one level up. Every cross-shard
+// transaction takes all of its keys in one in-flight key table before
+// any prepare is sent, and one that shares a key with a dispatched-but-
+// undecided transaction waits there, first come first served per key,
+// until that one's decision is on its way to the participants. Taking
+// keys all at once, in one place, means no deadlock and no starvation,
+// and it means participants do not see overlapping prepares. They
+// still never wait: a prepare that does overlap an in-doubt one (or
+// reads a missing row, or cannot be logged) is voted down at once and
+// the client told to come back — the safety net under the hold, not
+// the scheduling policy.
 //
 // Recovery replays all shards to a consistent cut: the coordinator log
 // is scanned first (committed global-txn set + boot epoch), then each

@@ -10,6 +10,7 @@ import (
 	"tskd/internal/client"
 	"tskd/internal/core"
 	"tskd/internal/engine"
+	"tskd/internal/history"
 	"tskd/internal/storage"
 	"tskd/internal/txn"
 	"tskd/internal/wal"
@@ -78,10 +79,13 @@ const (
 	opDecide
 )
 
-// vote is a participant's prepare reply.
+// vote is a participant's prepare reply. A yes carries the in-doubt
+// entry: the unit does not touch it again before the decision arrives,
+// so the coordinator may read it until it sends one.
 type vote struct {
 	shard int
 	yes   bool
+	e     *indoubtTxn
 }
 
 // shardOp is a 2PC participant operation sent to a shard's loop.
@@ -95,10 +99,12 @@ type shardOp struct {
 }
 
 // indoubtTxn is a prepared-undecided transaction on this shard: the
-// staged redo images and every key it quiesces.
+// staged redo images and every key it quiesces. reads, filled only
+// under a history recorder, are the versions those keys had at prepare.
 type indoubtTxn struct {
 	writes []wal.Update
 	keys   []txn.Key
+	reads  []history.Obs
 }
 
 type unit struct {
@@ -115,11 +121,16 @@ type unit struct {
 	// Loop-owned state (no locks needed).
 	indoubt  map[uint64]*indoubtTxn
 	keyDoubt map[txn.Key]uint64 // quiesced key -> owning gid
-	parked   []*task
-	batch    []*task
-	work     txn.Workload
-	spans    []engine.ExecSpan
-	haveSpan []bool
+	// Prepare scratch: stageSub's key index, and resolved in-doubt
+	// entries whose slices (redo field arrays included) the next
+	// prepares fill again.
+	stageIdx  map[txn.Key]int
+	freeDoubt []*indoubtTxn
+	parked    []*task
+	batch     []*task
+	work      txn.Workload
+	spans     []engine.ExecSpan
+	haveSpan  []bool
 
 	lastCkptLSN   uint64
 	lastCkptBytes int64
@@ -387,40 +398,63 @@ func (u *unit) handleOp(op *shardOp) {
 // prepare executes the sub-plan against the quiescent store, buffers
 // the redo images, makes them durable as a prepare record, quiesces the
 // touched keys, and votes. Overlap with an existing in-doubt prepare
-// votes no immediately — prepares never wait on each other, so
-// cross-shard transactions cannot deadlock.
+// votes no immediately — a participant never waits, so cross-shard
+// transactions cannot deadlock. In normal operation the coordinator has
+// already ordered overlapping transactions apart (hold.go) and this
+// vote is never cast for a conflict; it remains the safety net, and the
+// answer to a missing row or a failed log append.
 func (u *unit) prepare(op *shardOp) {
 	for _, o := range op.ops {
 		if _, busy := u.keyDoubt[o.Key]; busy {
-			u.count(func(s *ShardStats) { s.CrossVotedNo++ })
-			op.votes <- vote{u.id, false}
+			u.voteNo(op, nil)
 			return
 		}
 	}
-	writes, keys, ok := u.stageSub(op.ops)
-	if !ok {
-		u.count(func(s *ShardStats) { s.CrossVotedNo++ })
-		op.votes <- vote{u.id, false}
+	var e *indoubtTxn
+	if n := len(u.freeDoubt); n > 0 {
+		e, u.freeDoubt = u.freeDoubt[n-1], u.freeDoubt[:n-1]
+	} else {
+		e = &indoubtTxn{}
+	}
+	if !u.stageSub(op.ops, e) {
+		u.voteNo(op, e)
 		return
 	}
-	if len(writes) > 0 && u.log != nil {
+	if len(e.writes) > 0 && u.log != nil {
 		// The participant's durability point. A read-only sub-plan skips
 		// it (the read-only 2PC optimization): with nothing to redo,
 		// recovery has nothing to resolve.
-		rec := wal.Record{TxnID: int64(op.gid), Kind: wal.RecordPrepare, Writes: writes}
+		rec := wal.Record{TxnID: int64(op.gid), Kind: wal.RecordPrepare, Writes: e.writes}
 		if err := u.log.Append(rec); err != nil {
-			u.count(func(s *ShardStats) { s.CrossVotedNo++ })
-			op.votes <- vote{u.id, false}
+			u.voteNo(op, e)
 			return
 		}
 	}
-	u.indoubt[op.gid] = &indoubtTxn{writes: writes, keys: keys}
-	for _, k := range keys {
+	u.indoubt[op.gid] = e
+	e.reads = e.reads[:0]
+	recording := u.rt.cfg.Core.Recorder != nil
+	for _, k := range e.keys {
 		u.keyDoubt[k] = op.gid
+		if recording {
+			var ver uint64 // a row the sub-plan inserts has no version yet
+			if row := u.db.Resolve(k); row != nil {
+				ver = storage.VerNumber(row.Ver.Load())
+			}
+			e.reads = append(e.reads, history.Obs{Key: k, Ver: ver})
+		}
 	}
 	u.indoubtN.Add(1)
 	u.count(func(s *ShardStats) { s.CrossPrepared++ })
-	op.votes <- vote{u.id, true}
+	op.votes <- vote{u.id, true, e}
+}
+
+// voteNo counts and casts a no-vote, recycling the unused entry.
+func (u *unit) voteNo(op *shardOp, e *indoubtTxn) {
+	if e != nil {
+		u.freeDoubt = append(u.freeDoubt, e)
+	}
+	u.count(func(s *ShardStats) { s.CrossVotedNo++ })
+	op.votes <- vote{shard: u.id}
 }
 
 // decide resolves an in-doubt prepare: install the staged images on
@@ -455,37 +489,51 @@ func (u *unit) decide(op *shardOp) {
 	}
 	delete(u.indoubt, op.gid)
 	u.indoubtN.Add(-1)
+	u.freeDoubt = append(u.freeDoubt, e) // ApplyRecord copied the images
 }
 
 // stageSub runs a sub-plan against the current store without touching
-// it, computing post-image redo updates. It fails (vote no) on a read
-// or update of a missing row, or on a scan — cross-shard scans are
-// unsupported.
-func (u *unit) stageSub(ops []txn.Op) (writes []wal.Update, keys []txn.Key, ok bool) {
-	staged := make(map[txn.Key]int) // key -> index into writes
+// it, filling e with the post-image redo updates and the distinct keys
+// to quiesce (e's slices are overwritten, their capacity reused). It
+// fails (vote no) on a read or update of a missing row, or on a scan —
+// cross-shard scans are unsupported.
+func (u *unit) stageSub(ops []txn.Op, e *indoubtTxn) bool {
+	// key -> index into writes, or -1 for a key only read so far.
+	staged := u.stageIdx
+	clear(staged)
+	writes, keys := e.writes[:0], e.keys[:0]
 	for _, o := range ops {
-		keys = append(keys, o.Key)
+		idx, seen := staged[o.Key]
+		if !seen {
+			idx = -1
+			keys = append(keys, o.Key)
+		}
 		switch o.Kind {
 		case txn.OpRead:
-			if _, s := staged[o.Key]; !s && u.db.Resolve(o.Key) == nil {
-				return nil, nil, false
+			if !seen {
+				if u.db.Resolve(o.Key) == nil {
+					return false
+				}
+				staged[o.Key] = -1
 			}
 		case txn.OpWrite, txn.OpInsert, txn.OpUpdate:
-			idx, s := staged[o.Key]
-			if !s {
+			if idx < 0 {
 				row := u.db.Resolve(o.Key)
-				var base []uint64
-				var ver uint64
-				if row != nil {
-					base = append([]uint64(nil), row.Load().Fields...)
-					ver = storage.VerNumber(row.Ver.Load()) + 1
-				} else if o.Kind == txn.OpInsert {
-					ver = 1
-				} else {
-					return nil, nil, false // write/update of a missing row
+				if row == nil && o.Kind != txn.OpInsert {
+					return false // write/update of a missing row
 				}
-				writes = append(writes, wal.Update{Key: uint64(o.Key), Ver: ver, Fields: base})
-				idx = len(writes) - 1
+				idx = len(writes)
+				if idx < cap(writes) {
+					writes = writes[:idx+1] // a recycled slot: reuse its field array
+				} else {
+					writes = append(writes, wal.Update{})
+				}
+				w := &writes[idx]
+				w.Key, w.Ver, w.Fields = uint64(o.Key), 1, w.Fields[:0]
+				if row != nil {
+					w.Fields = append(w.Fields, row.Load().Fields...)
+					w.Ver = storage.VerNumber(row.Ver.Load()) + 1
+				}
 				staged[o.Key] = idx
 			}
 			f := writes[idx].Fields
@@ -500,19 +548,11 @@ func (u *unit) stageSub(ops []txn.Op) (writes []wal.Update, keys []txn.Key, ok b
 			}
 			writes[idx].Fields = f
 		default: // OpScan
-			return nil, nil, false
+			return false
 		}
 	}
-	// Deduplicate the quiesce set.
-	seen := make(map[txn.Key]struct{}, len(keys))
-	dk := keys[:0]
-	for _, k := range keys {
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
-			dk = append(dk, k)
-		}
-	}
-	return writes, dk, true
+	e.writes, e.keys = writes, keys
+	return true
 }
 
 // maybeCheckpoint checkpoints the shard once enough WAL has accumulated
