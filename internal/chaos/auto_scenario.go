@@ -9,7 +9,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -18,12 +17,9 @@ import (
 
 	"tskd/internal/arbiter"
 	"tskd/internal/client"
-	"tskd/internal/history"
 	"tskd/internal/replica"
 	"tskd/internal/shard"
-	"tskd/internal/storage"
 	"tskd/internal/txn"
-	"tskd/internal/wal"
 	"tskd/internal/workload"
 )
 
@@ -471,112 +467,16 @@ func runAutoFailover(seed int64) Report {
 	// Verdict, part 1: the promoted timeline carries every acked commit
 	// exactly once — same audit as replica-failover; the primary's disk
 	// is never consulted.
-	st, err := shard.Recover(backupDir, plan.AutoShards, shardBase)
-	if err != nil {
-		v.addf("recover: %v", err)
+	if !(shardedAudit{
+		dir: backupDir, shards: plan.AutoShards, clients: plan.AutoClients, subs: plan.AutoSubs,
+		acked: func(c, i int) bool { return outcome[c*plan.AutoSubs+i] == outAcked },
+		txn:   plan.autoTxn,
+		key:   func(c, i int) uint64 { return autoKey(seed, c, i) },
+		where: "promoted ",
+	}).run(&v) {
 		return fail()
 	}
-	r := shard.Router{Shards: plan.AutoShards}
-	localKeys := make([]map[uint64]bool, plan.AutoShards)
-	for s := range localKeys {
-		localKeys[s] = make(map[uint64]bool, len(st.ShardKeys[s]))
-		for _, k := range st.ShardKeys[s] {
-			localKeys[s][k] = true
-		}
-	}
-	crossKeys := make(map[uint64]bool, len(st.CrossKeys))
-	for _, k := range st.CrossKeys {
-		crossKeys[k] = true
-	}
-	submitted := make(map[uint64]bool, total)
-	var parts []int
-	for c := 0; c < plan.AutoClients; c++ {
-		for i := 0; i < plan.AutoSubs; i++ {
-			marker := liveMarker(c, i)
-			submitted[marker] = true
-			if outcome[c*plan.AutoSubs+i] != outAcked {
-				continue // already reported as a phase-2 violation
-			}
-			t := plan.autoTxn(c, i, marker)
-			parts = r.Participants(t, parts[:0])
-			home := r.Home(txn.MakeKey(workload.YCSBTable, marker))
-			row := st.DBs[home].Table(workload.YCSBTable).Get(marker)
-			if row == nil {
-				v.addf("lost acked commit: marker (%d,%d) missing from promoted shard %d", c, i, home)
-				continue
-			}
-			if n := storage.VerNumber(row.Ver.Load()); n != 1 {
-				v.addf("marker (%d,%d) at version %d, want 1 (double apply)", c, i, n)
-			}
-			key := autoKey(seed, c, i)
-			if len(parts) == 1 {
-				if !localKeys[parts[0]][key] {
-					v.addf("acked single-shard key (%d,%d) missing from promoted shard %d dedup window", c, i, parts[0])
-				}
-			} else if !crossKeys[key] {
-				v.addf("acked cross-shard key (%d,%d) missing from promoted coordinator dedup window", c, i)
-			}
-		}
-	}
-	for s := 0; s < plan.AutoShards; s++ {
-		st.DBs[s].Table(workload.YCSBTable).Scan(liveMarkerBase, ^uint64(0), func(row *storage.Row) bool {
-			if !submitted[row.Key.Row()] {
-				v.addf("phantom marker %d on shard %d installed by no submission", row.Key.Row(), s)
-			} else if r.Home(row.Key) != s {
-				v.addf("marker %d misrouted: on shard %d, owned by %d", row.Key.Row(), s, r.Home(row.Key))
-			}
-			return true
-		})
-	}
-	for _, sh := range st.Info.Shards {
-		if sh.Prepares != sh.ResolvedCommitted+sh.ResolvedAborted {
-			v.addf("shard %d: %d prepares, only %d committed + %d aborted resolved",
-				sh.Shard, sh.Prepares, sh.ResolvedCommitted, sh.ResolvedAborted)
-		}
-	}
-	if e, err := replica.ReadEpoch(backupDir); err != nil || e != 1 {
-		v.addf("promoted directory epoch %d (%v), want 1", e, err)
-	}
-	var bootEpochs []uint64
-	if _, _, err := wal.ReplayDir(filepath.Join(backupDir, "coord"), func(_ uint64, rec wal.Record) error {
-		if rec.Kind == wal.RecordBoot {
-			bootEpochs = append(bootEpochs, rec.IdemKey)
-		}
-		return nil
-	}); err != nil {
-		v.addf("coord replay: %v", err)
-	} else if !reflect.DeepEqual(bootEpochs, []uint64{0, 1}) {
-		v.addf("boot record epochs %v, want [0 1]", bootEpochs)
-	}
-	var events []history.Event
-	for s := 0; s < plan.AutoShards; s++ {
-		dir := filepath.Join(backupDir, fmt.Sprintf("shard-%02d", s))
-		if _, _, err := wal.ReplayDir(dir, func(lsn uint64, rec wal.Record) error {
-			install := rec.Kind == wal.RecordCommit
-			if rec.Kind == wal.RecordPrepare {
-				_, install = st.Committed[uint64(rec.TxnID)]
-			}
-			if !install {
-				return nil
-			}
-			e := history.Event{TxnID: len(events)}
-			for _, w := range rec.Writes {
-				e.Writes = append(e.Writes, history.Obs{Key: txn.Key(w.Key), Ver: w.Ver})
-			}
-			events = append(events, e)
-			return nil
-		}); err != nil {
-			v.addf("shard %d wal replay: %v", s, err)
-		}
-	}
-	if err := history.CheckEvents(events); err != nil {
-		v.addf("wal tails: %v", err)
-	}
-	if st2, err := shard.Recover(backupDir, plan.AutoShards, shardBase); err != nil {
-		v.addf("second recover: %v", err)
-	} else if !reflect.DeepEqual(st2.Info, st.Info) {
-		v.addf("recovery not idempotent: %+v then %+v", st.Info, st2.Info)
-	}
+	auditPromotedEpoch(&v, backupDir)
 
 	// Verdict, part 2: epoch uniqueness. The arbiter's durable decision
 	// log decides each epoch at most once and holds exactly one grant,

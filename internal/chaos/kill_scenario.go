@@ -190,12 +190,7 @@ func MaybeServerChild() {
 	}
 	// Publish the address atomically: the parent polls for the file and
 	// must never read a half-written one.
-	addrFile := os.Getenv(envKillAddrFile)
-	tmp := addrFile + ".tmp"
-	if err := os.WriteFile(tmp, []byte(srv.Addr()), 0o644); err != nil {
-		die(err)
-	}
-	if err := os.Rename(tmp, addrFile); err != nil {
+	if err := storage.WriteFileAtomic(os.Getenv(envKillAddrFile), []byte(srv.Addr()), false); err != nil {
 		die(err)
 	}
 	// Serve until the parent's SIGTERM (phase 2 ends gracefully; phase

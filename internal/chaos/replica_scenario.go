@@ -6,19 +6,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"tskd/internal/client"
-	"tskd/internal/history"
 	"tskd/internal/replica"
 	"tskd/internal/shard"
-	"tskd/internal/storage"
 	"tskd/internal/txn"
-	"tskd/internal/wal"
 	"tskd/internal/workload"
 )
 
@@ -267,120 +263,14 @@ func runReplicaFailover(seed int64) Report {
 	// Verdict: recover the promoted directory read-only and audit what
 	// the pair together had to make durable. The primary's directory is
 	// deliberately never consulted — the shipped copy must suffice.
-	st, err := shard.Recover(backupDir, plan.ReplShards, shardBase)
-	if err != nil {
-		v.addf("recover: %v", err)
-		return fail()
-	}
-	r := shard.Router{Shards: plan.ReplShards}
-	localKeys := make([]map[uint64]bool, plan.ReplShards)
-	for s := range localKeys {
-		localKeys[s] = make(map[uint64]bool, len(st.ShardKeys[s]))
-		for _, k := range st.ShardKeys[s] {
-			localKeys[s][k] = true
-		}
-	}
-	crossKeys := make(map[uint64]bool, len(st.CrossKeys))
-	for _, k := range st.CrossKeys {
-		crossKeys[k] = true
-	}
-	submitted := make(map[uint64]bool, total)
-	var parts []int
-	for c := 0; c < plan.ReplClients; c++ {
-		for i := 0; i < plan.ReplSubs; i++ {
-			marker := liveMarker(c, i)
-			submitted[marker] = true
-			if outcome[c*plan.ReplSubs+i] != outAcked {
-				continue // already reported as a phase-2 violation
-			}
-			t := plan.replTxn(c, i, marker)
-			parts = r.Participants(t, parts[:0])
-			home := r.Home(txn.MakeKey(workload.YCSBTable, marker))
-			row := st.DBs[home].Table(workload.YCSBTable).Get(marker)
-			if row == nil {
-				v.addf("lost acked commit: marker (%d,%d) missing from shipped shard %d", c, i, home)
-				continue
-			}
-			if n := storage.VerNumber(row.Ver.Load()); n != 1 {
-				v.addf("marker (%d,%d) at version %d, want 1 (double apply)", c, i, n)
-			}
-			key := replKey(seed, c, i)
-			if len(parts) == 1 {
-				if !localKeys[parts[0]][key] {
-					v.addf("acked single-shard key (%d,%d) missing from shipped shard %d dedup window", c, i, parts[0])
-				}
-			} else if !crossKeys[key] {
-				v.addf("acked cross-shard key (%d,%d) missing from shipped coordinator dedup window", c, i)
-			}
-		}
-	}
-	// No phantom or misrouted markers on the promoted timeline.
-	for s := 0; s < plan.ReplShards; s++ {
-		st.DBs[s].Table(workload.YCSBTable).Scan(liveMarkerBase, ^uint64(0), func(row *storage.Row) bool {
-			if !submitted[row.Key.Row()] {
-				v.addf("phantom marker %d on shard %d installed by no submission", row.Key.Row(), s)
-			} else if r.Home(row.Key) != s {
-				v.addf("marker %d misrouted: on shard %d, owned by %d", row.Key.Row(), s, r.Home(row.Key))
-			}
-			return true
-		})
-	}
-	// No dangling in-doubt on the shipped tails.
-	for _, sh := range st.Info.Shards {
-		if sh.Prepares != sh.ResolvedCommitted+sh.ResolvedAborted {
-			v.addf("shard %d: %d prepares, only %d committed + %d aborted resolved",
-				sh.Shard, sh.Prepares, sh.ResolvedCommitted, sh.ResolvedAborted)
-		}
-	}
-	// Fencing evidence in the log itself: the directory sits at the
-	// promoted epoch, and the shipped coordinator log's boot records
-	// carry non-decreasing epochs ending there — exactly one boot per
-	// incarnation (the killed primary, then the promoted one).
-	if e, err := replica.ReadEpoch(backupDir); err != nil || e != 1 {
-		v.addf("promoted directory epoch %d (%v), want 1", e, err)
-	}
-	var bootEpochs []uint64
-	if _, _, err := wal.ReplayDir(filepath.Join(backupDir, "coord"), func(_ uint64, rec wal.Record) error {
-		if rec.Kind == wal.RecordBoot {
-			bootEpochs = append(bootEpochs, rec.IdemKey)
-		}
-		return nil
-	}); err != nil {
-		v.addf("coord replay: %v", err)
-	} else if !reflect.DeepEqual(bootEpochs, []uint64{0, 1}) {
-		v.addf("boot record epochs %v, want [0 1]", bootEpochs)
-	}
-	// The shipped WAL tails must install each version of each row
-	// exactly once across commits and decided prepares.
-	var events []history.Event
-	for s := 0; s < plan.ReplShards; s++ {
-		dir := filepath.Join(backupDir, fmt.Sprintf("shard-%02d", s))
-		if _, _, err := wal.ReplayDir(dir, func(lsn uint64, rec wal.Record) error {
-			install := rec.Kind == wal.RecordCommit
-			if rec.Kind == wal.RecordPrepare {
-				_, install = st.Committed[uint64(rec.TxnID)]
-			}
-			if !install {
-				return nil
-			}
-			e := history.Event{TxnID: len(events)}
-			for _, w := range rec.Writes {
-				e.Writes = append(e.Writes, history.Obs{Key: txn.Key(w.Key), Ver: w.Ver})
-			}
-			events = append(events, e)
-			return nil
-		}); err != nil {
-			v.addf("shard %d wal replay: %v", s, err)
-		}
-	}
-	if err := history.CheckEvents(events); err != nil {
-		v.addf("wal tails: %v", err)
-	}
-	// Recovery over the shipped directory is idempotent.
-	if st2, err := shard.Recover(backupDir, plan.ReplShards, shardBase); err != nil {
-		v.addf("second recover: %v", err)
-	} else if !reflect.DeepEqual(st2.Info, st.Info) {
-		v.addf("recovery not idempotent: %+v then %+v", st.Info, st2.Info)
+	if (shardedAudit{
+		dir: backupDir, shards: plan.ReplShards, clients: plan.ReplClients, subs: plan.ReplSubs,
+		acked: func(c, i int) bool { return outcome[c*plan.ReplSubs+i] == outAcked },
+		txn:   plan.replTxn,
+		key:   func(c, i int) uint64 { return replKey(seed, c, i) },
+		where: "shipped ",
+	}).run(&v) {
+		auditPromotedEpoch(&v, backupDir)
 	}
 	return fail()
 }

@@ -13,6 +13,7 @@ import (
 
 	"tskd/internal/client"
 	"tskd/internal/history"
+	"tskd/internal/replica"
 	"tskd/internal/shard"
 	"tskd/internal/storage"
 	"tskd/internal/txn"
@@ -221,13 +222,40 @@ func runShardCrash(seed int64) Report {
 
 	// Verdict: recover the directory read-only to a consistent cut and
 	// audit what the two incarnations together had to make durable.
-	st, err := shard.Recover(dataDir, plan.ShardCount, shardBase)
+	shardedAudit{
+		dir: dataDir, shards: plan.ShardCount, clients: plan.ShardClients, subs: plan.ShardSubs,
+		acked: func(c, i int) bool { return outcome[c*plan.ShardSubs+i] == outAcked },
+		txn:   plan.shardTxn,
+		key:   func(c, i int) uint64 { return shardCrashKey(seed, c, i) },
+	}.run(&v)
+	return fail()
+}
+
+// shardedAudit is the verdict the sharded scenarios (shard-crash,
+// replica-failover, auto-failover) share over the directory that had to
+// make their acknowledged commits durable.
+type shardedAudit struct {
+	dir                   string
+	shards, clients, subs int
+	acked                 func(c, i int) bool
+	txn                   func(c, i int, marker uint64) *txn.Transaction
+	key                   func(c, i int) uint64 // idempotency key of (c, i)
+	where                 string                // qualifies the shards in messages: "", "shipped ", "promoted "
+}
+
+// run recovers the directory read-only to a consistent cut and checks
+// every acked marker, the dedup windows, phantoms and misrouting,
+// dangling in-doubt prepares, the WAL tails' exactly-once installs and
+// idempotent recovery. It reports false when the directory could not
+// be recovered at all.
+func (a shardedAudit) run(v *violations) bool {
+	st, err := shard.Recover(a.dir, a.shards, shardBase)
 	if err != nil {
 		v.addf("recover: %v", err)
-		return fail()
+		return false
 	}
-	r := shard.Router{Shards: plan.ShardCount}
-	localKeys := make([]map[uint64]bool, plan.ShardCount)
+	r := shard.Router{Shards: a.shards}
+	localKeys := make([]map[uint64]bool, a.shards)
 	for s := range localKeys {
 		localKeys[s] = make(map[uint64]bool, len(st.ShardKeys[s]))
 		for _, k := range st.ShardKeys[s] {
@@ -238,39 +266,38 @@ func runShardCrash(seed int64) Report {
 	for _, k := range st.CrossKeys {
 		crossKeys[k] = true
 	}
-	submitted := make(map[uint64]bool, total)
+	submitted := make(map[uint64]bool, a.clients*a.subs)
 	var parts []int
-	for c := 0; c < plan.ShardClients; c++ {
-		for i := 0; i < plan.ShardSubs; i++ {
+	for c := 0; c < a.clients; c++ {
+		for i := 0; i < a.subs; i++ {
 			marker := liveMarker(c, i)
 			submitted[marker] = true
-			if outcome[c*plan.ShardSubs+i] != outAcked {
+			if !a.acked(c, i) {
 				continue // already reported as a phase-2 violation
 			}
-			t := plan.shardTxn(c, i, marker)
-			parts = r.Participants(t, parts[:0])
+			parts = r.Participants(a.txn(c, i, marker), parts[:0])
 			home := r.Home(txn.MakeKey(workload.YCSBTable, marker))
 			row := st.DBs[home].Table(workload.YCSBTable).Get(marker)
 			if row == nil {
-				v.addf("lost acked commit: marker (%d,%d) missing from shard %d", c, i, home)
+				v.addf("lost acked commit: marker (%d,%d) missing from %sshard %d", c, i, a.where, home)
 				continue
 			}
 			if n := storage.VerNumber(row.Ver.Load()); n != 1 {
 				v.addf("marker (%d,%d) at version %d, want 1 (double apply)", c, i, n)
 			}
-			key := shardCrashKey(seed, c, i)
+			key := a.key(c, i)
 			if len(parts) == 1 {
 				if !localKeys[parts[0]][key] {
-					v.addf("acked single-shard key (%d,%d) missing from shard %d dedup window", c, i, parts[0])
+					v.addf("acked single-shard key (%d,%d) missing from %sshard %d dedup window", c, i, a.where, parts[0])
 				}
 			} else if !crossKeys[key] {
-				v.addf("acked cross-shard key (%d,%d) missing from coordinator dedup window", c, i)
+				v.addf("acked cross-shard key (%d,%d) missing from %scoordinator dedup window", c, i, a.where)
 			}
 		}
 	}
 	// No phantom or misrouted markers: every marker row in any store
 	// was submitted, and lives on the shard that owns it.
-	for s := 0; s < plan.ShardCount; s++ {
+	for s := 0; s < a.shards; s++ {
 		st.DBs[s].Table(workload.YCSBTable).Scan(liveMarkerBase, ^uint64(0), func(row *storage.Row) bool {
 			if !submitted[row.Key.Row()] {
 				v.addf("phantom marker %d on shard %d installed by no submission", row.Key.Row(), s)
@@ -292,8 +319,8 @@ func runShardCrash(seed int64) Report {
 	// exactly once: local commits plus prepares whose global transaction
 	// has a coordinator decision (undecided prepares never install).
 	var events []history.Event
-	for s := 0; s < plan.ShardCount; s++ {
-		dir := filepath.Join(dataDir, fmt.Sprintf("shard-%02d", s))
+	for s := 0; s < a.shards; s++ {
+		dir := filepath.Join(a.dir, fmt.Sprintf("shard-%02d", s))
 		if _, _, err := wal.ReplayDir(dir, func(lsn uint64, rec wal.Record) error {
 			install := rec.Kind == wal.RecordCommit
 			if rec.Kind == wal.RecordPrepare {
@@ -316,10 +343,31 @@ func runShardCrash(seed int64) Report {
 		v.addf("wal tails: %v", err)
 	}
 	// Recovery is idempotent: a second pass lands on identical state.
-	if st2, err := shard.Recover(dataDir, plan.ShardCount, shardBase); err != nil {
+	if st2, err := shard.Recover(a.dir, a.shards, shardBase); err != nil {
 		v.addf("second recover: %v", err)
 	} else if !reflect.DeepEqual(st2.Info, st.Info) {
 		v.addf("recovery not idempotent: %+v then %+v", st.Info, st2.Info)
 	}
-	return fail()
+	return true
+}
+
+// auditPromotedEpoch is the fencing evidence a promoted backup's
+// directory must carry: it sits at epoch 1, and the shipped coordinator
+// log's boot records carry non-decreasing epochs ending there — exactly
+// one boot per incarnation (the killed primary, then the promoted one).
+func auditPromotedEpoch(v *violations, dir string) {
+	if e, err := replica.ReadEpoch(dir); err != nil || e != 1 {
+		v.addf("promoted directory epoch %d (%v), want 1", e, err)
+	}
+	var bootEpochs []uint64
+	if _, _, err := wal.ReplayDir(filepath.Join(dir, "coord"), func(_ uint64, rec wal.Record) error {
+		if rec.Kind == wal.RecordBoot {
+			bootEpochs = append(bootEpochs, rec.IdemKey)
+		}
+		return nil
+	}); err != nil {
+		v.addf("coord replay: %v", err)
+	} else if !reflect.DeepEqual(bootEpochs, []uint64{0, 1}) {
+		v.addf("boot record epochs %v, want [0 1]", bootEpochs)
+	}
 }

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"tskd/internal/storage"
 )
 
 // server.go: the backup side. A Server listens for one primary's
@@ -385,32 +387,7 @@ func (s *Server) writeSnapshot(stream, name string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(dir, name)
-	tmp := path + ".rtmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if !s.cfg.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if s.cfg.NoSync {
-		return nil
-	}
-	return syncPath(dir)
+	return storage.WriteFileAtomic(filepath.Join(dir, name), data, !s.cfg.NoSync)
 }
 
 // applyAppend writes one shipped group into the stream's active

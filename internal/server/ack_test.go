@@ -250,7 +250,7 @@ func TestFailedBarrierAcksNothing(t *testing.T) {
 			if len(lost) != n {
 				t.Fatalf("OnWALError saw %d commits, want all %d", len(lost), n)
 			}
-			for _, k := range s.dedup.committedKeys() {
+			for _, k := range s.dedup.CommittedKeys() {
 				if k >= firstKey && k < firstKey+n {
 					t.Errorf("idempotency key %d of an unacknowledged commit entered the dedup window", k)
 				}

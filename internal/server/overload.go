@@ -77,7 +77,7 @@ func (o *OverloadOptions) withDefaults(flushInterval time.Duration) {
 // send status with the retry hint.
 func (s *Server) refuse(req *client.Request, p *pending, cw *connWriter, status string, retryMS int64, f func(*Stats)) {
 	if req.IdemKey != 0 && s.dedup != nil {
-		s.dedup.release(req.IdemKey)
+		s.dedup.Release(req.IdemKey)
 	}
 	putPending(p)
 	s.count(f)
@@ -151,7 +151,7 @@ func (s *Server) dropExpired(batch []*pending) []*pending {
 		}
 		if !p.t.Deadline.IsZero() && now.After(p.t.Deadline) {
 			if p.t.IdemKey != 0 && s.dedup != nil {
-				s.dedup.release(p.t.IdemKey)
+				s.dedup.Release(p.t.IdemKey)
 			}
 			// Count before answering: a client that has its response
 			// must find the drop in Stats.

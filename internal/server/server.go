@@ -38,6 +38,7 @@ import (
 	"tskd/internal/cc"
 	"tskd/internal/client"
 	"tskd/internal/core"
+	"tskd/internal/durable"
 	"tskd/internal/engine"
 	"tskd/internal/metrics"
 	"tskd/internal/overload"
@@ -331,13 +332,12 @@ type Server struct {
 	start time.Time
 
 	// Durability (nil/zero unless cfg.Durability is set). log and
-	// dedup are internally synchronized; lastCkpt* are touched only by
-	// the bundler goroutine.
-	log           *wal.Log
-	dedup         *dedupWindow
-	recovery      RecoveryInfo
-	lastCkptLSN   uint64
-	lastCkptBytes int64
+	// dedup are internally synchronized; ckpt is touched only by the
+	// bundler goroutine.
+	log      *wal.Log
+	dedup    *durable.Window
+	ckpt     *durable.Checkpointer
+	recovery RecoveryInfo
 
 	// replicaEpoch is the fencing epoch this incarnation runs under
 	// (the shipper's when replicating, the directory's persisted epoch
@@ -843,8 +843,8 @@ func (s *Server) admitDecoded(req *client.Request, p *pending, cw *connWriter) {
 		return
 	}
 	if req.IdemKey != 0 && s.dedup != nil {
-		switch state, cached := s.dedup.begin(req.IdemKey); state {
-		case dedupHit:
+		switch state, cached := s.dedup.Begin(req.IdemKey); state {
+		case durable.Hit:
 			// Already committed (possibly in a previous incarnation):
 			// answer without executing.
 			putPending(p)
@@ -853,7 +853,7 @@ func (s *Server) admitDecoded(req *client.Request, p *pending, cw *connWriter) {
 			s.count(func(st *Stats) { st.DedupHits++ })
 			cw.send(cached)
 			return
-		case dedupInflight:
+		case durable.Inflight:
 			// The original is still executing; its outcome will reach
 			// whoever submitted it. Back off and retry: by then the key
 			// is either committed (answered above) or released
@@ -1048,9 +1048,9 @@ func (s *Server) runBundle(batch []*pending) {
 				// after the WAL barrier covered the whole bundle), so
 				// remembering the key here keeps the window consistent
 				// with the log.
-				s.dedup.commit(p.t.IdemKey, resp)
+				s.dedup.Commit(p.t.IdemKey, resp)
 			} else {
-				s.dedup.release(p.t.IdemKey) // abort/cancel: retryable
+				s.dedup.Release(p.t.IdemKey) // abort/cancel: retryable
 			}
 		}
 		s.stats.ResultsStreamed++
@@ -1119,7 +1119,7 @@ func (s *Server) Stats() Stats {
 		st.WALBytes = s.log.AppendedBytes()
 	}
 	if s.dedup != nil {
-		st.DedupSize = s.dedup.size()
+		st.DedupSize = s.dedup.Size()
 	}
 	if d := s.cfg.Durability; d != nil && d.Replication != nil {
 		st.Replication = &ReplicationStats{Role: "primary", ShipperStats: d.Replication.Stats()}

@@ -5,7 +5,6 @@ import (
 
 	"tskd/internal/client"
 	"tskd/internal/shard"
-	"tskd/internal/storage"
 	"tskd/internal/txn"
 )
 
@@ -63,14 +62,6 @@ func (s *Server) ShardRecovery() shard.RecoveryInfo {
 		return shard.RecoveryInfo{}
 	}
 	return s.rt.Recovery()
-}
-
-// RecoverSharded inspects a sharded data directory read-only: the
-// multi-shard analogue of Recover, used by chaos audits and tools. It
-// resolves in-doubt prepares against the coordinator log exactly as a
-// restarting server would.
-func RecoverSharded(dir string, shards int, base func(i int) *storage.DB) (*shard.RecoverState, error) {
-	return shard.Recover(dir, shards, base)
 }
 
 // serveSharded handles one decoded request in sharded mode: parse,
@@ -148,6 +139,8 @@ func (s *Server) mergeShardStats(st *Stats) {
 		st.WALSyncs += sh.WALSyncs
 		st.WALBytes += sh.WALBytes
 		st.Checkpoints += sh.Checkpoints
+		st.CheckpointErrors += sh.CheckpointErrors
+		st.TruncatedSegments += sh.TruncatedSegments
 		st.DedupHits += sh.DedupHits
 		st.DedupInflight += sh.DedupInflight
 		st.DedupSize += sh.DedupSize

@@ -133,7 +133,7 @@ func TestUnitAckWaitsForBundleBarrier(t *testing.T) {
 		t.Fatalf("OnWALError saw %d commits, want all %d of the vetoed bundles", len(lost), shards*perShard)
 	}
 	for _, u := range rt.units {
-		for _, k := range u.dedup.committedKeys() {
+		for _, k := range u.dedup.CommittedKeys() {
 			if k >= 2000 {
 				t.Errorf("shard %d: idempotency key %d of an unacknowledged commit entered the window", u.id, k)
 			}

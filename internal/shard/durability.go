@@ -3,29 +3,26 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"tskd/internal/replica"
 	"tskd/internal/wal"
 )
 
-// durability.go: the sharded data directory layout and its naming
-// helpers. Under the root:
+// durability.go: the sharded data directory layout. Under the root:
 //
 //	<root>/coord/            the coordinator decision log (wal segments)
-//	<root>/shard-00/         shard 0: wal segments + ckpt-/dedup- sidecars
+//	<root>/shard-00/         shard 0: wal-, ckpt- and dedup-<lsn>.dd files
 //	<root>/shard-01/         shard 1 ...
 //
 // Each shard directory is exactly a single-shard server's data
-// directory — same segment format, same checkpoint image, same dedup
-// sidecar — plus prepare records in the log. The coordinator directory
-// holds only decision and boot records (no redo), so it stays tiny and
-// is never checkpointed or truncated.
+// directory — written, checkpointed and restored by the same
+// internal/durable code — plus prepare records in the log. Directories
+// written before the two stacks shared that code name their sidecars
+// dedup-<lsn>.dedup; recovery still reads them. The coordinator
+// directory holds only decision and boot records (no redo), so it stays
+// tiny and is never checkpointed or truncated.
 
 // Durability configures the sharded data directory.
 type Durability struct {
@@ -86,33 +83,3 @@ func shardDir(root string, i int) string {
 }
 
 func coordDir(root string) string { return filepath.Join(root, "coord") }
-
-func lsnHex(lsn uint64) string { return fmt.Sprintf("%016x", lsn) }
-
-func ckptName(lsn uint64) string { return "ckpt-" + lsnHex(lsn) + ".ckpt" }
-
-func dedupName(lsn uint64) string { return "dedup-" + lsnHex(lsn) + ".dedup" }
-
-// listByLSN returns the LSNs of files named <prefix><16 hex><suffix>
-// under dir, ascending.
-func listByLSN(dir, prefix, suffix string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var lsns []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-			continue
-		}
-		hex := strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix)
-		lsn, err := strconv.ParseUint(hex, 16, 64)
-		if err != nil {
-			continue
-		}
-		lsns = append(lsns, lsn)
-	}
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] < lsns[j] })
-	return lsns, nil
-}

@@ -12,6 +12,7 @@ import (
 	"tskd/internal/client"
 	"tskd/internal/clock"
 	"tskd/internal/core"
+	"tskd/internal/durable"
 	"tskd/internal/history"
 	"tskd/internal/partition"
 	"tskd/internal/replica"
@@ -152,7 +153,7 @@ type Runtime struct {
 	// global-txn-id assignment (epoch from the boot-record count keeps
 	// gids unique across incarnations).
 	coordLog   *wal.Log
-	coordDedup *window
+	coordDedup *durable.Window
 	hold       holdTable
 	gidEpoch   uint64
 	gidSeq     atomic.Uint64
@@ -198,7 +199,7 @@ func Open(cfg Config) (*Runtime, error) {
 	dbs := make([]*storage.DB, cfg.Shards)
 	keys := make([][]uint64, cfg.Shards)
 	nextLSN := make([]uint64, cfg.Shards)
-	lastCkpt := make([]uint64, cfg.Shards)
+	var crossKeys []uint64
 	dedupLimit := 65536
 	if d := cfg.Durability; d != nil {
 		dedupLimit = d.DedupWindow
@@ -208,11 +209,11 @@ func Open(cfg Config) (*Runtime, error) {
 			return nil, err
 		}
 		rt.recovery = st.Info
+		crossKeys = st.CrossKeys
 		for i := range dbs {
 			dbs[i] = st.DBs[i]
 			keys[i] = st.ShardKeys[i]
 			nextLSN[i] = st.Info.Shards[i].NextLSN
-			lastCkpt[i] = st.Info.Shards[i].CheckpointLSN
 		}
 		// The replica fencing epoch this incarnation runs under: the
 		// live shipper's when replicating, otherwise whatever the data
@@ -254,17 +255,14 @@ func Open(cfg Config) (*Runtime, error) {
 			cancel()
 			return nil, err
 		}
-		rt.coordDedup = newWindow(dedupLimit)
-		for _, k := range st.CrossKeys {
-			rt.coordDedup.restore(k)
-		}
 	} else {
 		for i := range dbs {
 			dbs[i] = cfg.DB(i)
 		}
 		rt.gidEpoch = 1
-		rt.coordDedup = newWindow(dedupLimit)
 	}
+	rt.coordDedup = durable.NewWindow(dedupLimit)
+	rt.coordDedup.Restore(crossKeys...)
 
 	rt.units = make([]*unit, cfg.Shards)
 	for i := range rt.units {
@@ -275,12 +273,10 @@ func Open(cfg Config) (*Runtime, error) {
 			indoubt:  make(map[uint64]*indoubtTxn),
 			keyDoubt: make(map[txn.Key]uint64),
 			stageIdx: make(map[txn.Key]int),
-			dedup:    newWindow(dedupLimit),
+			dedup:    durable.NewWindow(dedupLimit),
 		}
 		u.stats.Shard = i
-		for _, k := range keys[i] {
-			u.dedup.restore(k)
-		}
+		u.dedup.Restore(keys[i]...)
 		if d := cfg.Durability; d != nil {
 			unitOpts := wal.DirOptions{
 				GroupWindow: d.GroupWindow, SegmentBytes: d.SegmentBytes,
@@ -303,8 +299,7 @@ func Open(cfg Config) (*Runtime, error) {
 				return nil, err
 			}
 			u.log = log
-			u.lastCkptLSN = lastCkpt[i]
-			u.lastCkptBytes = log.AppendedBytes()
+			u.ckpt = durable.NewCheckpointer(shardDir(d.Dir, i), log, d.CheckpointBytes, !d.NoSync)
 		}
 		opts := cfg.Core
 		opts.TraceSpans = true // per-transaction outcomes come from spans
@@ -365,13 +360,13 @@ func (rt *Runtime) Submit(t *txn.Transaction, done func(client.Response)) {
 
 func (rt *Runtime) submitLocal(u *unit, t *txn.Transaction, done func(client.Response)) {
 	if t.IdemKey != 0 {
-		switch state, cached := u.dedup.begin(t.IdemKey); state {
-		case dedupHit:
+		switch state, cached := u.dedup.Begin(t.IdemKey); state {
+		case durable.Hit:
 			cached.Duplicate = true
 			u.count(func(s *ShardStats) { s.DedupHits++ })
 			done(cached)
 			return
-		case dedupInflight:
+		case durable.Inflight:
 			u.count(func(s *ShardStats) { s.DedupInflight++ })
 			done(client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(u)})
 			return
@@ -393,7 +388,7 @@ func (rt *Runtime) submitLocal(u *unit, t *txn.Transaction, done func(client.Res
 		return
 	}
 	if t.IdemKey != 0 {
-		u.dedup.release(t.IdemKey)
+		u.dedup.Release(t.IdemKey)
 	}
 	u.count(func(s *ShardStats) { s.Rejected++ })
 	done(client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(u)})
@@ -401,13 +396,13 @@ func (rt *Runtime) submitLocal(u *unit, t *txn.Transaction, done func(client.Res
 
 func (rt *Runtime) submitCross(t *txn.Transaction, done func(client.Response)) {
 	if t.IdemKey != 0 {
-		switch state, cached := rt.coordDedup.begin(t.IdemKey); state {
-		case dedupHit:
+		switch state, cached := rt.coordDedup.Begin(t.IdemKey); state {
+		case durable.Hit:
 			cached.Duplicate = true
 			rt.countTPC(func(s *TwoPCStats) { s.DedupHits++ })
 			done(cached)
 			return
-		case dedupInflight:
+		case durable.Inflight:
 			rt.countTPC(func(s *TwoPCStats) { s.DedupInflight++ })
 			done(client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(nil)})
 			return
@@ -416,7 +411,7 @@ func (rt *Runtime) submitCross(t *txn.Transaction, done func(client.Response)) {
 	if !t.Deadline.IsZero() && time.Now().After(t.Deadline) {
 		// Expired before it reached a coordinator: terminal, never queued.
 		if t.IdemKey != 0 {
-			rt.coordDedup.release(t.IdemKey)
+			rt.coordDedup.Release(t.IdemKey)
 		}
 		rt.countTPC(func(s *TwoPCStats) { s.Started++; s.Aborted++ })
 		done(client.Response{Status: client.StatusExpired})
@@ -435,7 +430,7 @@ func (rt *Runtime) submitCross(t *txn.Transaction, done func(client.Response)) {
 	rt.admitMu.RUnlock()
 	if !started {
 		if t.IdemKey != 0 {
-			rt.coordDedup.release(t.IdemKey)
+			rt.coordDedup.Release(t.IdemKey)
 		}
 		rt.countTPC(func(s *TwoPCStats) { s.Rejected++ })
 		done(client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(nil)})
@@ -468,9 +463,9 @@ func (rt *Runtime) runTwoPC(t *txn.Transaction, h *holder, queued time.Time, don
 	finish := func(resp client.Response) {
 		if t.IdemKey != 0 {
 			if resp.Status == client.StatusCommit {
-				rt.coordDedup.commit(t.IdemKey, resp)
+				rt.coordDedup.Commit(t.IdemKey, resp)
 			} else {
-				rt.coordDedup.release(t.IdemKey)
+				rt.coordDedup.Release(t.IdemKey)
 			}
 		}
 		done(resp)

@@ -1,14 +1,13 @@
 package shard
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"tskd/internal/client"
 	"tskd/internal/core"
+	"tskd/internal/durable"
 	"tskd/internal/engine"
 	"tskd/internal/history"
 	"tskd/internal/storage"
@@ -56,7 +55,9 @@ type ShardStats struct {
 	WALSyncs          uint64 `json:"wal_syncs"`
 	WALBytes          int64  `json:"wal_bytes"`
 	Checkpoints       uint64 `json:"checkpoints"`
+	CheckpointErrors  uint64 `json:"checkpoint_errors"`
 	LastCheckpointLSN uint64 `json:"last_checkpoint_lsn"`
+	TruncatedSegments uint64 `json:"truncated_segments"`
 	// Dedup window counters.
 	DedupHits     uint64 `json:"dedup_hits"`
 	DedupInflight uint64 `json:"dedup_inflight"`
@@ -112,8 +113,9 @@ type unit struct {
 	rt       *Runtime
 	db       *storage.DB
 	pipeline *core.Pipeline
-	log      *wal.Log // nil when not durable
-	dedup    *window
+	log      *wal.Log              // nil when not durable
+	ckpt     *durable.Checkpointer // nil when not durable
+	dedup    *durable.Window
 
 	in  chan *task
 	ops chan *shardOp
@@ -131,9 +133,6 @@ type unit struct {
 	work      txn.Workload
 	spans     []engine.ExecSpan
 	haveSpan  []bool
-
-	lastCkptLSN   uint64
-	lastCkptBytes int64
 
 	indoubtN atomic.Int64
 
@@ -153,7 +152,7 @@ func (u *unit) snapshot() ShardStats {
 	u.mu.Unlock()
 	s.InDoubt = int(u.indoubtN.Load())
 	s.QueueDepth = len(u.in)
-	s.DedupSize = u.dedup.size()
+	s.DedupSize = u.dedup.Size()
 	if u.log != nil {
 		s.WALRecords, s.WALFlushes, s.WALSyncs = u.log.Counters()
 		s.WALBytes = u.log.AppendedBytes()
@@ -243,7 +242,7 @@ func (u *unit) finalDrain() {
 			// but answer rather than leak on a hard stop.
 			for _, tk := range u.parked {
 				if tk.t.IdemKey != 0 {
-					u.dedup.release(tk.t.IdemKey)
+					u.dedup.Release(tk.t.IdemKey)
 				}
 				tk.done(client.Response{Status: client.StatusCanceled})
 			}
@@ -325,7 +324,7 @@ func (u *unit) runBundle(batch []*task) {
 	if err != nil {
 		for _, tk := range batch {
 			if tk.t.IdemKey != 0 {
-				u.dedup.release(tk.t.IdemKey)
+				u.dedup.Release(tk.t.IdemKey)
 			}
 			tk.done(client.Response{Status: client.StatusError, Error: err.Error()})
 		}
@@ -377,9 +376,9 @@ func (u *unit) runBundle(batch []*task) {
 			if resp.Status == client.StatusCommit {
 				// Durable already: Process returns only after the WAL
 				// barrier covered every commit of the bundle.
-				u.dedup.commit(tk.t.IdemKey, resp)
+				u.dedup.Commit(tk.t.IdemKey, resp)
 			} else {
-				u.dedup.release(tk.t.IdemKey)
+				u.dedup.Release(tk.t.IdemKey)
 			}
 		}
 		tk.done(resp)
@@ -560,41 +559,17 @@ func (u *unit) stageSub(ops []txn.Op, e *indoubtTxn) bool {
 // images must not leak into a checkpoint, and an in-doubt prepare's
 // record must survive in the log until its decision is known.
 func (u *unit) maybeCheckpoint() {
-	d := u.rt.cfg.Durability
-	if u.log == nil || d == nil || len(u.indoubt) != 0 {
+	if u.ckpt == nil || len(u.indoubt) != 0 || !u.ckpt.Due() {
 		return
 	}
-	if u.log.AppendedBytes()-u.lastCkptBytes < d.CheckpointBytes {
-		return
-	}
-	u.checkpoint()
-}
-
-func (u *unit) checkpoint() {
-	d := u.rt.cfg.Durability
-	dir := shardDir(d.Dir, u.id)
-	lsn := u.log.NextLSN()
-	sync := !d.NoSync
-	if err := writeDedupFile(filepath.Join(dir, dedupName(lsn)), u.dedup.committedKeys(), sync); err != nil {
-		return // keep serving from the log; retry at the next threshold
-	}
-	if err := storage.WriteCheckpointFile(filepath.Join(dir, ckptName(lsn)), u.db, sync); err != nil {
-		return
-	}
-	u.log.TruncateSealed(lsn)
-	for _, ps := range [][2]string{{"ckpt-", ".ckpt"}, {"dedup-", ".dedup"}} {
-		if lsns, err := listByLSN(dir, ps[0], ps[1]); err == nil {
-			for _, old := range lsns {
-				if old < lsn {
-					os.Remove(filepath.Join(dir, ps[0]+lsnHex(old)+ps[1]))
-				}
-			}
-		}
-	}
-	u.lastCkptLSN = lsn
-	u.lastCkptBytes = u.log.AppendedBytes()
+	lsn, removed, err := u.ckpt.Checkpoint(u.db, u.dedup)
 	u.count(func(s *ShardStats) {
+		if err != nil {
+			s.CheckpointErrors++ // retried after the next bundle
+			return
+		}
 		s.Checkpoints++
 		s.LastCheckpointLSN = lsn
+		s.TruncatedSegments += uint64(removed)
 	})
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -13,13 +14,22 @@ import (
 // never a torn mix; at worst a stray <base>.tmp-* file survives for
 // the caller's recovery path to inspect.
 func WriteFileAtomic(path string, data []byte, sync bool) error {
+	return writeAtomic(path, sync, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// writeAtomic is WriteFileAtomic over whatever write streams into the
+// temporary file, so a large image is never buffered whole.
+func writeAtomic(path string, sync bool, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 )
 
@@ -109,43 +108,13 @@ func WriteCheckpoint(w io.Writer, db *DB) error {
 	return bw.Flush()
 }
 
-// WriteCheckpointFile writes a checkpoint to path atomically: the
+// WriteCheckpointFile streams a checkpoint to path atomically: the
 // image lands in a temporary file first, is fsynced (unless sync is
 // false), renamed into place, and the directory is fsynced so the
 // rename itself is durable. A crash at any point leaves either the old
 // file or the new one, never a torn mix.
 func WriteCheckpointFile(path string, db *DB, sync bool) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := WriteCheckpoint(tmp, db); err != nil {
-		tmp.Close()
-		return err
-	}
-	if sync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if sync {
-		d, err := os.Open(dir)
-		if err != nil {
-			return err
-		}
-		defer d.Close()
-		return d.Sync()
-	}
-	return nil
+	return writeAtomic(path, sync, func(w io.Writer) error { return WriteCheckpoint(w, db) })
 }
 
 // ReadCheckpointFile loads a checkpoint file written by
