@@ -154,13 +154,15 @@ func TestGrantRedelivery(t *testing.T) {
 	backup := dialPeer(t, a.Addr())
 	backup.roundTrip(Msg{Type: MsgRegister, Role: RoleBackup, Group: "g", Addr: "backup:1", Seq: 5})
 
-	// Kill the backup connection before the grant can be delivered.
-	backup.conn.Close()
 	fc.Advance(10 * time.Second)
 	a.Tick()
 	if snap := a.Snapshot(); snap[0].Epoch != 1 || snap[0].Leader != "backup:1" {
 		t.Fatalf("after tick: snapshot %+v", snap)
 	}
+	// The grant frame dies unread with the backup's connection. (Closing
+	// before the tick races the arbiter's reader, which drops a closed
+	// backup from the group and leaves nobody to grant to.)
+	backup.conn.Close()
 
 	// The grantee reconnects knowing nothing; registering as a backup
 	// hands it the pending grant instead of stranding the group.
