@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race bench-micro bench-serve bench-cmp
+.PHONY: test race bench-micro
 
 test:
 	$(GO) build ./...
@@ -22,16 +22,3 @@ bench-micro:
 	$(GO) test -run xxx -bench 'BenchmarkPhaseLoop' -benchmem ./internal/engine/
 	$(GO) test -run xxx -bench 'BenchmarkConflictBuild' -benchmem ./internal/conflict/
 	$(GO) test -run xxx -bench 'BenchmarkCrossShardHotKey' -benchmem ./internal/shard/
-
-# End-to-end serve-path baseline: boots an in-process server, drives it
-# over TCP, and rewrites BENCH_serve.json (the old "current" becomes
-# "previous"). Pinned seed, 3 serve reps (for cmp's CI rule), and the
-# distributed 1-vs-4-agent phase; see cmd/tskd-perf.
-bench-serve:
-	$(GO) run ./cmd/tskd-perf -seed 1 -reps 3 -agents 4 -out BENCH_serve.json -prev BENCH_serve.json
-
-# Local version of the CI regression gate: rerun the gated phases and
-# cmp against the committed baseline (exit 1 = significant regression).
-bench-cmp:
-	$(GO) run ./cmd/tskd-perf -seed 1 -reps 3 -overload 0 -shards 0 -agents 0 -replica-clients 0 -out /tmp/tskd-bench-new.json
-	$(GO) run ./cmd/tskd-perf cmp BENCH_serve.json /tmp/tskd-bench-new.json

@@ -24,7 +24,7 @@
 //
 // -local-agents N forks N agent subprocesses of this binary on
 // ephemeral ports and coordinates them — multi-process load generation
-// on one box with no external orchestration (what CI uses).
+// on one box with no external orchestration.
 //
 // Transactions are YCSB-style: -theta, -opstxn, -readratio, -records
 // shape the generated access patterns (they must target the schema
@@ -76,7 +76,7 @@ func main() {
 		n         = flag.Int("n", 10_000, "total transactions to submit")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-submission timeout")
 		records   = flag.Int("records", 100_000, "YCSB key space (match the server's -records)")
-		theta     = flag.Float64("theta", 0.8, "YCSB zipf skew")
+		theta     = flag.Float64("theta", 0.8, "YCSB zipf skew (0 = uniform keys)")
 		opsTxn    = flag.Int("opstxn", 16, "operations per transaction")
 		readRatio = flag.Float64("readratio", 0.5, "fraction of reads")
 		rmw       = flag.Bool("rmw", true, "read-modify-write updates (vs blind writes)")

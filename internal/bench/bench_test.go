@@ -2,10 +2,11 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -192,6 +193,7 @@ func TestSpecValidate(t *testing.T) {
 		{Addr: "a", Mode: "closed", Clients: 1, N: 0, Records: 1, OpsPerTxn: 1},
 		{Addr: "a", Mode: "closed", Clients: 1, N: 1, Records: 1, OpsPerTxn: 1, MultiKey: 0.5},
 		{Addr: "a", Mode: "closed", Clients: 1, N: 1, Records: 1, OpsPerTxn: 1, Reliable: true, Conns: 2},
+		{Addr: "a", Mode: "closed", Clients: 1, N: 1, Records: 1, OpsPerTxn: 1, Theta: -0.5},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -285,6 +287,61 @@ func TestAgentCoordinatorEndToEnd(t *testing.T) {
 	}
 }
 
+// agentEnv puts a re-exec of this test binary into load-agent mode, so
+// SpawnLocalAgents runs against real subprocesses.
+const agentEnv = "TSKD_BENCH_TEST_AGENT"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(agentEnv) != "" {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Printf("%s%s\n", ListenBanner, ln.Addr())
+		ServeAgent(ln, ln.Addr().String(), nil)
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// The -local-agents path: two agent subprocesses, spawned and
+// coordinated against a live server, account for every transaction.
+func TestSpawnLocalAgents(t *testing.T) {
+	srv := startTestServer(t)
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv(agentEnv, "1")
+	agents, stop, err := SpawnLocalAgents(2, self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	total := Spec{
+		Addr: srv.Addr(), Mode: "closed", Clients: 4, N: 200,
+		Records: 2000, Theta: 0.5, OpsPerTxn: 4, ReadRatio: 0.5, RMW: true, Seed: 3,
+	}
+	results, err := Coordinate(agents, total.Split(len(agents)), 200*time.Millisecond, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Merge(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Agents != 2 || results[0].Agent == results[1].Agent {
+		t.Errorf("want two distinct agents, got %q and %q", results[0].Agent, results[1].Agent)
+	}
+	if got := s.Counts.Terminal(); got != uint64(total.N) {
+		t.Errorf("terminal outcomes = %d, want %d (%+v)", got, total.N, s.Counts)
+	}
+	if s.Counts.Errors != 0 {
+		t.Errorf("errors: %+v", s.Counts)
+	}
+}
+
 // The agent must reject a malformed spec at prepare rather than fail at
 // start, and survive to serve a correct session afterwards.
 func TestAgentRejectsBadSpec(t *testing.T) {
@@ -317,196 +374,6 @@ func TestAgentRejectsBadSpec(t *testing.T) {
 	}
 	if res.Counts.Terminal() != 10 {
 		t.Errorf("terminal = %d", res.Counts.Terminal())
-	}
-}
-
-func makeReport(tput, p99, allocs float64) Report {
-	env := CaptureEnv()
-	return Report{
-		GoVersion: env.GoVersion,
-		Env:       &env,
-		Current: Results{
-			ThroughputTxnS: tput, P99US: int64(p99), AllocsPerTxn: allocs,
-			P50US: int64(p99) / 3, P95US: int64(p99) / 2,
-			Committed: 1000, Submitted: 1000,
-		},
-		Overload: &OverloadResults{GoodputTxnS: tput * 1.5, AcceptedP99US: int64(p99) * 4},
-		Sharded: &ShardedResults{
-			Points: []ShardedPoint{
-				{Shards: 1, CrossFrac: 0, ThroughputTxnS: tput / 3},
-				{Shards: 4, CrossFrac: 0, ThroughputTxnS: tput},
-			},
-			Speedup: 3.0,
-		},
-		Distributed: &DistributedResults{
-			Points: []DistributedPoint{
-				{Agents: 1, OfferedRateTxnS: tput},
-				{Agents: 4, OfferedRateTxnS: tput * 2},
-			},
-			OfferedGain: 2.0,
-		},
-	}
-}
-
-func TestCompareSelfIsClean(t *testing.T) {
-	r := makeReport(8000, 15000, 98)
-	vs, warns, err := Compare(r, r, CmpOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warns) != 0 {
-		t.Errorf("warnings on self-compare: %v", warns)
-	}
-	if HasRegression(vs) {
-		t.Errorf("self-compare flagged a regression: %+v", vs)
-	}
-	if len(vs) < 7 {
-		t.Errorf("expected verdicts across all phases, got %d", len(vs))
-	}
-}
-
-func TestCompareFlagsInjectedRegressions(t *testing.T) {
-	base := makeReport(8000, 15000, 98)
-	cases := []struct {
-		name   string
-		mutate func(*Report)
-		phase  string
-	}{
-		{"throughput drop", func(r *Report) { r.Current.ThroughputTxnS *= 0.6 }, "serve"},
-		{"p99 blowup", func(r *Report) { r.Current.P99US *= 3 }, "serve"},
-		{"alloc creep", func(r *Report) { r.Current.AllocsPerTxn *= 1.10 }, "serve"},
-		{"goodput drop", func(r *Report) { r.Overload.GoodputTxnS *= 0.5 }, "overload"},
-		{"sharded point drop", func(r *Report) { r.Sharded.Points[1].ThroughputTxnS *= 0.5 }, "sharded 4@0%"},
-		{"distributed gain lost", func(r *Report) { r.Distributed.OfferedGain = 1.0 }, "distributed"},
-	}
-	for _, tc := range cases {
-		cand := makeReport(8000, 15000, 98)
-		tc.mutate(&cand)
-		vs, _, err := Compare(base, cand, CmpOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		found := false
-		for _, v := range vs {
-			if v.Regression && strings.HasPrefix(v.Phase, tc.phase) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: no regression flagged in phase %q: %+v", tc.name, tc.phase, vs)
-		}
-	}
-	// Improvements must not trip the gate.
-	better := makeReport(12000, 9000, 80)
-	vs, _, err := Compare(base, better, CmpOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if HasRegression(vs) {
-		t.Errorf("improvement flagged as regression: %+v", vs)
-	}
-}
-
-func TestCompareSamplesRule(t *testing.T) {
-	base := makeReport(100, 15000, 98)
-	cand := makeReport(100, 15000, 98)
-	base.Current.Samples = &Samples{ThroughputTxnS: []float64{99, 100, 101}}
-	// Tight samples, clearly lower: CI-overlap rule fires even though
-	// the 8% drop is under the 10% fixed threshold.
-	cand.Current.Samples = &Samples{ThroughputTxnS: []float64{91, 92, 93}}
-	cand.Current.ThroughputTxnS = 92
-	vs, _, err := Compare(base, cand, CmpOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tput Verdict
-	for _, v := range vs {
-		if v.Phase == "serve" && v.Metric == "txn/s" {
-			tput = v
-		}
-	}
-	if tput.Rule != "ci-overlap" || !tput.Regression {
-		t.Errorf("expected ci-overlap regression, got %+v", tput)
-	}
-	// Noisy overlapping samples: same mean shift must NOT be
-	// significant.
-	base.Current.Samples = &Samples{ThroughputTxnS: []float64{80, 100, 120}}
-	cand.Current.Samples = &Samples{ThroughputTxnS: []float64{72, 92, 112}}
-	vs, _, err = Compare(base, cand, CmpOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range vs {
-		if v.Phase == "serve" && v.Metric == "txn/s" && v.Regression {
-			t.Errorf("overlapping CIs flagged: %+v", v)
-		}
-	}
-}
-
-func TestCompareRefusesCrossEnvironment(t *testing.T) {
-	base := makeReport(8000, 15000, 98)
-	cand := makeReport(8000, 15000, 98)
-	cand.Env.GoVersion = "go1.11"
-	if _, _, err := Compare(base, cand, CmpOptions{}); err == nil {
-		t.Fatal("cross-toolchain comparison not refused")
-	}
-	vs, warns, err := Compare(base, cand, CmpOptions{AllowEnvMismatch: true})
-	if err != nil {
-		t.Fatalf("override did not work: %v", err)
-	}
-	if len(warns) == 0 {
-		t.Error("override produced no warning")
-	}
-	if HasRegression(vs) {
-		t.Errorf("identical numbers flagged: %+v", vs)
-	}
-}
-
-func TestCompareSkipsMissingPhases(t *testing.T) {
-	base := makeReport(8000, 15000, 98)
-	cand := makeReport(8000, 15000, 98)
-	cand.Sharded = nil
-	cand.Distributed = nil
-	vs, _, err := Compare(base, cand, CmpOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if HasRegression(vs) {
-		t.Errorf("missing phase treated as regression: %+v", vs)
-	}
-	skips := 0
-	for _, v := range vs {
-		if v.Rule == "skipped" {
-			skips++
-		}
-	}
-	if skips != 2 {
-		t.Errorf("expected 2 skip verdicts, got %d: %+v", skips, vs)
-	}
-}
-
-func TestFormatAndAnalyzeSmoke(t *testing.T) {
-	base := makeReport(8000, 15000, 98)
-	cand := makeReport(8000, 15000, 98)
-	cand.Current.ThroughputTxnS = 4000
-	vs, warns, err := Compare(base, cand, CmpOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	FormatVerdicts(&sb, vs, warns)
-	if !strings.Contains(sb.String(), "REGRESSION") {
-		t.Errorf("format output missing regression line:\n%s", sb.String())
-	}
-	sb.Reset()
-	prev := base.Current
-	base.Previous = &prev
-	base.Config = map[string]any{"seed": 1}
-	Analyze(&sb, base)
-	for _, want := range []string{"serve:", "overload:", "sharded:", "distributed:", "env:", "delta:"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("analyze output missing %q:\n%s", want, sb.String())
-		}
 	}
 }
 

@@ -151,8 +151,8 @@ func stopAll(agents []*AgentClient) {
 // must put the process in agent mode on an ephemeral port), scans each
 // stdout for the ListenBanner line, and dials the announced control
 // addresses. The returned stop function tears everything down. This is
-// how CI and tskd-perf get a multi-process load fleet on one box
-// without external orchestration.
+// how tskd-load -local-agents gets a multi-process load fleet on one
+// box without external orchestration.
 func SpawnLocalAgents(n int, bin string, args ...string) ([]*AgentClient, func(), error) {
 	var (
 		procs  []*exec.Cmd

@@ -40,35 +40,3 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeReport covers the result-file decoder behind `tskd-perf
-// analyze` and `tskd-perf cmp`: arbitrary file bytes must never panic,
-// and anything accepted must be comparable against itself.
-func FuzzDecodeReport(f *testing.F) {
-	env := CaptureEnv()
-	r := Report{GoVersion: env.GoVersion, Env: &env}
-	r.Current.ThroughputTxnS = 8000
-	r.Current.P99US = 15000
-	b, err := EncodeReport(r)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(b)
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"go_version":"go1.24.0","current":{"throughput_txn_s":1}}`))
-	f.Add([]byte(`{"current":{"samples":{"throughput_txn_s":[1,2,3]}}}`))
-	f.Add([]byte(`{"sharded":{"points":[{"shards":4}]},"distributed":{"points":[{"agents":1}]}}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rep, err := DecodeReport(data)
-		if err != nil {
-			return
-		}
-		vs, _, err := Compare(rep, rep, CmpOptions{AllowEnvMismatch: true})
-		if err != nil {
-			t.Fatalf("accepted report not self-comparable: %v", err)
-		}
-		if HasRegression(vs) {
-			t.Fatalf("self-compare of accepted report regressed: %+v", vs)
-		}
-	})
-}

@@ -1,3 +1,19 @@
+// Package bench is tskd-load's distributed load generator. It has
+// three parts:
+//
+//   - A load runner (Run/Prepare) shared by tskd-load's local mode and
+//     agent mode: closed- or open-loop generation against a tskd-serve
+//     address, with per-worker tallies whose histograms are merged —
+//     never averaged — into whole-population percentiles.
+//   - An agent control protocol (ServeAgent / AgentClient / Coordinate):
+//     a coordinator fans a workload spec out to N agents over small
+//     NDJSON control connections, starts them on a synchronized
+//     wall-clock barrier, and collects full-resolution results.
+//   - Exact merge math (Merge): agents ship compressed latency
+//     histograms (metrics.HistogramData) and per-second throughput
+//     series; merging reconstructs the unified population, so merged
+//     p50/p99/p999 equal what one process observing every request would
+//     have reported.
 package bench
 
 import (
@@ -99,6 +115,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Records < 1 || s.OpsPerTxn < 1 {
 		return fmt.Errorf("bench: spec: records and ops_per_txn must be >= 1")
+	}
+	if s.Theta < 0 {
+		return fmt.Errorf("bench: spec: theta must be >= 0 (0 = uniform keys)")
 	}
 	if s.MultiKey > 0 && s.Shards <= 1 {
 		return fmt.Errorf("bench: spec: multi_key needs shards > 1")

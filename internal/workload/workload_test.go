@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -100,6 +101,57 @@ func TestYCSBSkewIncreasesConflicts(t *testing.T) {
 	gh := conflict.Build(hi, conflict.Serializability)
 	if gh.Edges() <= gl.Edges() {
 		t.Errorf("theta 0.9 edges %d not above theta 0.7 edges %d", gh.Edges(), gl.Edges())
+	}
+}
+
+// θ = 0 draws keys uniformly — operation keys and scan start keys
+// alike — so no row takes much more than its 1/Records share. θ > 0
+// generation keeps its key stream: the first keys of a θ = 0.8 and a
+// θ = 0.99 seed are pinned.
+func TestYCSBThetaZeroIsUniform(t *testing.T) {
+	const records = 1000
+	hottestShare := func(c YCSB, kind txn.OpKind) float64 {
+		counts := make(map[uint64]int)
+		total, most := 0, 0
+		for _, tx := range c.Generate() {
+			for _, op := range tx.Ops {
+				if op.Kind != kind {
+					continue
+				}
+				counts[op.Key.Row()]++
+				total++
+				most = max(most, counts[op.Key.Row()])
+			}
+		}
+		return float64(most) / float64(total)
+	}
+	const bound = 3.0 / records // uniform: hottest ≈ 2× 1/Records; θ = 0.8: ≈ 60×
+	ops := YCSB{Records: records, Txns: 5000, OpsPerTxn: 4, ReadRatio: 1, Seed: 1}
+	if got := hottestShare(ops, txn.OpRead); got > bound {
+		t.Errorf("θ = 0: hottest key takes %.4f of reads, want <= %.4f", got, bound)
+	}
+	scans := YCSB{Records: records, Txns: 10000, ScanRatio: 1, Seed: 2}
+	if got := hottestShare(scans, txn.OpScan); got > bound {
+		t.Errorf("θ = 0: hottest scan start takes %.4f of scans, want <= %.4f", got, bound)
+	}
+
+	for _, pin := range []struct {
+		theta float64
+		rows  []uint64
+	}{
+		{0.8, []uint64{32, 152, 0, 448, 34, 308, 29, 212, 274, 789, 2, 15, 200, 741, 57, 30}},
+		{0.99, []uint64{8, 49, 0, 244, 68, 2, 78, 113, 645, 0, 4, 71, 577, 15, 7, 446}},
+	} {
+		c := YCSB{Records: records, Theta: pin.theta, Txns: 2, OpsPerTxn: 8, ReadRatio: 0.5, RMW: true, Seed: 42}
+		var rows []uint64
+		for _, tx := range c.Generate() {
+			for _, op := range tx.Ops {
+				rows = append(rows, op.Key.Row())
+			}
+		}
+		if !reflect.DeepEqual(rows, pin.rows) {
+			t.Errorf("θ = %v: first keys %v, want %v", pin.theta, rows, pin.rows)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ type YCSB struct {
 	// (set by Theta) unchanged.
 	Records int
 	// Theta is the Zipfian data-skew parameter (paper range
-	// [0.7, 0.9], default 0.8).
+	// [0.7, 0.9], default 0.8). Theta <= 0 draws keys uniformly.
 	Theta float64
 	// Txns is the bundle size (paper default 10,000).
 	Txns int
@@ -101,6 +101,13 @@ func (c YCSB) BuildDB() *storage.DB {
 // [0, Txns).
 func (c YCSB) Generate() txn.Workload {
 	g := zipf.New(uint64(c.Records), safeTheta(c.Theta), c.Seed)
+	nextRow := g.Next
+	if c.Theta <= 0 {
+		// θ = 0 is the uniform limit of the Zipfian, which the
+		// generator's construction cannot evaluate; draw from its
+		// stream uniformly instead.
+		nextRow = func() uint64 { return g.Uniform(uint64(c.Records)) }
+	}
 	maxScan := c.MaxScanLen
 	if maxScan <= 0 {
 		maxScan = 50
@@ -111,7 +118,7 @@ func (c YCSB) Generate() txn.Workload {
 		if c.ScanRatio > 0 && g.Float64() < c.ScanRatio {
 			t := txn.New(i)
 			t.Template = "YCSB-E"
-			lo := g.Next()
+			lo := nextRow()
 			span := g.Uniform(uint64(maxScan)) + 1
 			t.S(txn.MakeKey(YCSBTable, lo), span)
 			t.IF(txn.MakeKey(YCSBTable, nextInsert), 0, nextInsert)
@@ -123,11 +130,11 @@ func (c YCSB) Generate() txn.Workload {
 		t.Template = "YCSB-A"
 		seen := make(map[uint64]bool, c.OpsPerTxn)
 		for j := 0; j < c.OpsPerTxn; j++ {
-			row := g.Next()
+			row := nextRow()
 			// YCSB transactions access distinct records; re-draw on
 			// collision (bounded).
 			for tries := 0; seen[row] && tries < 8; tries++ {
-				row = g.Next()
+				row = nextRow()
 			}
 			seen[row] = true
 			key := txn.MakeKey(YCSBTable, row)
