@@ -8,7 +8,7 @@ test:
 
 # The package list of the CI race step (.github/workflows/ci.yml).
 race:
-	$(GO) test -race ./internal/deferment ./internal/engine ./internal/wal ./internal/durable ./internal/overload ./internal/server ./internal/shard ./internal/replica ./internal/arbiter ./internal/chaos ./internal/bench ./internal/client
+	$(GO) test -race ./internal/cc ./internal/storage ./internal/deferment ./internal/engine ./internal/wal ./internal/durable ./internal/overload ./internal/server ./internal/shard ./internal/replica ./internal/arbiter ./internal/chaos ./internal/bench ./internal/client
 
 # Microbenchmarks with allocation counts: the wire codec, the WAL
 # append/flush path (per record and per bundle), the engine phase loop

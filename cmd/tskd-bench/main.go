@@ -21,6 +21,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"tskd/internal/cc"
 	"tskd/internal/harness"
 )
 
@@ -32,7 +33,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 		bundle  = flag.Int("bundle", 0, "override bundle size")
 		cores   = flag.Int("cores", 0, "override #core")
-		ccName  = flag.String("cc", "", "override CC protocol")
+		ccName  = flag.String("cc", "", fmt.Sprintf("override CC protocol, one of %v", append(cc.Names(), "NONE")))
 		opUS    = flag.Int("optime-us", -1, "override per-op work in microseconds")
 		csvDir  = flag.String("csv", "", "also write each experiment's rows to <dir>/<id>.csv")
 		jsonDir = flag.String("json", "", "also write each experiment's rows to <dir>/<id>.json")

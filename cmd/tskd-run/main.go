@@ -13,6 +13,7 @@ import (
 	"os"
 	"time"
 
+	"tskd/internal/cc"
 	"tskd/internal/harness"
 )
 
@@ -24,7 +25,7 @@ func main() {
 		cpct    = flag.Float64("c", 0.25, "TPC-C cross-warehouse fraction")
 		whn     = flag.Int("whn", 0, "TPC-C warehouses (0 = scale default)")
 		cores   = flag.Int("cores", 0, "#core (0 = scale default)")
-		ccName  = flag.String("cc", "OCC", "CC protocol")
+		ccName  = flag.String("cc", "OCC", fmt.Sprintf("CC protocol, one of %v", append(cc.Names(), "NONE")))
 		bundle  = flag.Int("bundle", 0, "bundle size (0 = scale default)")
 		scale   = flag.String("scale", "quick", "parameter scale: full or quick")
 		seed    = flag.Int64("seed", 1, "random seed")

@@ -82,6 +82,7 @@ import (
 	"time"
 
 	"tskd/internal/arbiter"
+	"tskd/internal/cc"
 	"tskd/internal/core"
 	"tskd/internal/engine"
 	"tskd/internal/partition"
@@ -100,7 +101,7 @@ func main() {
 		records   = flag.Int("records", 100_000, "YCSB table size")
 		whn       = flag.Int("whn", 40, "TPC-C warehouses")
 		part      = flag.String("part", "strife", "bundle partitioner: strife, schism, horticulture, none")
-		ccName    = flag.String("cc", "OCC", "CC protocol")
+		ccName    = flag.String("cc", "OCC", fmt.Sprintf("CC protocol, one of %v", append(cc.Names(), "NONE")))
 		workers   = flag.Int("workers", 0, "execution threads (0 = GOMAXPROCS)")
 		bundle    = flag.Int("bundle", 512, "max transactions per bundle")
 		flushIv   = flag.Duration("flush-interval", 10*time.Millisecond, "max wait before a non-empty bundle flushes")

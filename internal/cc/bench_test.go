@@ -39,7 +39,4 @@ func BenchmarkWaitDie(b *testing.B) { benchProtocol(b, NewWaitDie()) }
 func BenchmarkOCC(b *testing.B)     { benchProtocol(b, NewOCC()) }
 func BenchmarkSilo(b *testing.B)    { benchProtocol(b, NewSilo()) }
 func BenchmarkTicToc(b *testing.B)  { benchProtocol(b, NewTicToc()) }
-func BenchmarkMVCC(b *testing.B)    { benchProtocol(b, NewMVCC()) }
-func BenchmarkSSI(b *testing.B)     { benchProtocol(b, NewSSI()) }
-func BenchmarkHStore(b *testing.B)  { benchProtocol(b, NewHStore(0)) }
 func BenchmarkNone(b *testing.B)    { benchProtocol(b, NewNone()) }

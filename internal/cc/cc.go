@@ -22,7 +22,6 @@ package cc
 import (
 	"errors"
 	"slices"
-	"sync/atomic"
 
 	"tskd/internal/storage"
 	"tskd/internal/txn"
@@ -42,14 +41,15 @@ type Stats struct {
 	Aborts uint64
 }
 
-// Ctx is the per-transaction execution context. It carries the
+// Ctx is the per-transaction execution context. It carries the 2PL
 // timestamp, the read/write sets accumulated during execution, and a
 // pointer to the owning worker's Stats. A Ctx is reused across retries
 // of the same transaction via Reset.
 type Ctx struct {
-	// TS is the transaction's timestamp, allocated at Begin. WAIT_DIE
-	// uses it for ordering; TICTOC ignores it (commit timestamps are
-	// data-driven).
+	// TS is the transaction's timestamp, allocated at Begin by the 2PL
+	// protocols only: WAIT_DIE orders by it and the lock word records it
+	// as the exclusive owner. The optimistic protocols and NONE leave it
+	// untouched (TICTOC's commit timestamps are data-driven).
 	TS uint64
 
 	// Stats points at the owning worker's counters; never nil after
@@ -74,12 +74,10 @@ type Ctx struct {
 	// structure version observed at scan time; every protocol
 	// validates them at commit (conservative phantom protection).
 	scans []scanEntry
-	// parts tracks partition locks held under HSTORE (sorted).
-	parts []int
 	// freeTuples recycles staged read-your-writes images across
 	// attempts. Only staged images ever enter the pool: an installed
-	// tuple is published to lock-free readers (and retained by MVCC
-	// version chains), so it must never be reused.
+	// tuple is published to lock-free readers, so it must never be
+	// reused.
 	freeTuples []*storage.Tuple
 }
 
@@ -136,9 +134,9 @@ func NewCtx(stats *Stats) *Ctx {
 }
 
 // Reset clears the context for a fresh attempt (same or different
-// transaction). The timestamp is not reallocated here; Begin does that.
-// Staged images the previous attempt abandoned (abort paths) return to
-// the tuple pool here.
+// transaction). The timestamp is not reallocated here; 2PL's Begin
+// does that. Staged images the previous attempt abandoned (abort
+// paths) return to the tuple pool here.
 func (c *Ctx) Reset() {
 	for i := range c.writes {
 		c.recycleStaged(&c.writes[i])
@@ -146,7 +144,6 @@ func (c *Ctx) Reset() {
 	c.reads = c.reads[:0]
 	c.writes = c.writes[:0]
 	c.scans = c.scans[:0]
-	c.parts = c.parts[:0]
 	clear(c.pending)
 	clear(c.locks)
 }
@@ -330,7 +327,8 @@ func (c *Ctx) Observations() (reads, writes []Obs) {
 type Protocol interface {
 	// Name returns the protocol's display name (e.g. "SILO").
 	Name() string
-	// Begin prepares ctx for a new attempt, allocating a timestamp.
+	// Begin prepares ctx for a new attempt (2PL also allocates a
+	// timestamp).
 	Begin(c *Ctx)
 	// Read returns a consistent snapshot of row, observing the
 	// transaction's own pending writes.
@@ -343,9 +341,3 @@ type Protocol interface {
 	// Abort releases all protocol resources held by the attempt.
 	Abort(c *Ctx)
 }
-
-// tsSource allocates monotonically increasing timestamps shared by the
-// protocols that need them.
-type tsSource struct{ n atomic.Uint64 }
-
-func (s *tsSource) next() uint64 { return s.n.Add(1) }

@@ -10,9 +10,18 @@ import (
 )
 
 // allProtocols returns one fresh instance of every protocol that
-// provides isolation.
+// provides isolation, built from the registry so the list cannot drift
+// from Names.
 func allProtocols() []Protocol {
-	return []Protocol{NewNoWait(), NewWaitDie(), NewOCC(), NewSilo(), NewTicToc(), NewMVCC(), NewSSI(), NewHStore(0)}
+	var ps []Protocol
+	for _, name := range Names() {
+		p, err := New(name)
+		if err != nil {
+			panic(err)
+		}
+		ps = append(ps, p)
+	}
+	return ps
 }
 
 func newRow(rowKey uint64, fields ...uint64) *storage.Row {

@@ -15,7 +15,7 @@ import (
 // Writes are still installed with the row latch held and version bumps,
 // so mixed deployments (RC-free queues under None while the residual
 // runs under an optimistic protocol) keep reader snapshots consistent.
-type None struct{ ts tsSource }
+type None struct{}
 
 // NewNone returns the no-op protocol.
 func NewNone() *None { return &None{} }
@@ -26,7 +26,6 @@ func (p *None) Name() string { return "NONE" }
 // Begin implements Protocol.
 func (p *None) Begin(c *Ctx) {
 	c.Reset()
-	c.TS = p.ts.next()
 }
 
 // Read implements Protocol. It returns the transaction's own pending

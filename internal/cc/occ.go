@@ -16,7 +16,6 @@ import (
 // The coarse critical section is the defining cost of this protocol —
 // it is what SILO removes — so we keep it deliberately.
 type OCC struct {
-	ts tsSource
 	mu sync.Mutex // global validation critical section
 }
 
@@ -29,7 +28,6 @@ func (p *OCC) Name() string { return "OCC" }
 // Begin implements Protocol.
 func (p *OCC) Begin(c *Ctx) {
 	c.Reset()
-	c.TS = p.ts.next()
 }
 
 // Read implements Protocol: take a consistent (version, tuple) snapshot

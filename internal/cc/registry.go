@@ -2,10 +2,9 @@ package cc
 
 import "fmt"
 
-// New returns a fresh protocol instance by name. Valid names: NONE,
-// NO_WAIT, WAIT_DIE, OCC, SILO, TICTOC. Protocol instances carry global
-// state (validation mutexes, timestamp counters) and must not be shared
-// across independent databases.
+// New returns a fresh protocol instance by name: NONE or one of Names.
+// Protocol instances carry global state (validation mutexes, timestamp
+// counters) and must not be shared across independent databases.
 func New(name string) (Protocol, error) {
 	switch name {
 	case "NONE":
@@ -20,19 +19,13 @@ func New(name string) (Protocol, error) {
 		return NewSilo(), nil
 	case "TICTOC":
 		return NewTicToc(), nil
-	case "MVCC":
-		return NewMVCC(), nil
-	case "SSI":
-		return NewSSI(), nil
-	case "HSTORE":
-		return NewHStore(0), nil
 	default:
-		return nil, fmt.Errorf("cc: unknown protocol %q", name)
+		return nil, fmt.Errorf("cc: unknown protocol %q (known: %v)", name, append(Names(), "NONE"))
 	}
 }
 
-// Names lists the protocols that provide isolation (excludes NONE), in
-// the order the paper evaluates them plus the lockers and MVCC.
+// Names lists the protocols that provide isolation (excludes NONE): the
+// three the paper evaluates, then the two 2PL flavours.
 func Names() []string {
-	return []string{"OCC", "SILO", "TICTOC", "NO_WAIT", "WAIT_DIE", "MVCC", "SSI", "HSTORE"}
+	return []string{"OCC", "SILO", "TICTOC", "NO_WAIT", "WAIT_DIE"}
 }

@@ -12,7 +12,7 @@ import (
 // the read set against current versions, and installs new images with
 // bumped versions. There is no global coordination point, which is why
 // it scales past OCC's serialized validation.
-type Silo struct{ ts tsSource }
+type Silo struct{}
 
 // NewSilo returns the SILO protocol.
 func NewSilo() *Silo { return &Silo{} }
@@ -23,7 +23,6 @@ func (p *Silo) Name() string { return "SILO" }
 // Begin implements Protocol.
 func (p *Silo) Begin(c *Ctx) {
 	c.Reset()
-	c.TS = p.ts.next()
 }
 
 // Read implements Protocol.

@@ -13,7 +13,7 @@ import (
 // a global counter, and lazily extends read leases (RTS) so that
 // read-mostly rows almost never cause aborts. The paper finds TSKD
 // works best with TICTOC (Section 6.3).
-type TicToc struct{ ts tsSource }
+type TicToc struct{}
 
 // NewTicToc returns the TICTOC protocol.
 func NewTicToc() *TicToc { return &TicToc{} }
@@ -24,7 +24,6 @@ func (p *TicToc) Name() string { return "TICTOC" }
 // Begin implements Protocol.
 func (p *TicToc) Begin(c *Ctx) {
 	c.Reset()
-	c.TS = p.ts.next()
 }
 
 // Read implements Protocol: record (wts, rts) atomically consistent

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"runtime"
+	"sync/atomic"
 
 	"tskd/internal/storage"
 )
@@ -33,7 +34,7 @@ func lockCount(v uint64) uint64   { return v & countMask }
 //     decreasing timestamps and no deadlock can form.
 type TwoPL struct {
 	WaitDie bool
-	ts      tsSource
+	ts      atomic.Uint64 // last transaction timestamp handed out
 }
 
 // NewNoWait returns 2PL with the NO_WAIT policy.
@@ -53,7 +54,7 @@ func (p *TwoPL) Name() string {
 // Begin implements Protocol.
 func (p *TwoPL) Begin(c *Ctx) {
 	c.Reset()
-	c.TS = p.ts.next()
+	c.TS = p.ts.Add(1)
 }
 
 // Read implements Protocol: acquire a shared lock (unless already

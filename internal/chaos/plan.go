@@ -139,12 +139,12 @@ type Plan struct {
 	// SIGKILLed mid-2PC; the backup directory is promoted (epoch bump)
 	// and a second incarnation serves over it. The primary's own
 	// directory is abandoned — the promoted timeline is the truth.
-	ReplShards     int     // shards in the primary (>= 2)
-	ReplClients    int     // concurrent phase-1 clients
-	ReplSubs       int     // submissions per client
-	ReplAfterAcks  int     // SIGKILL the primary once this many commits acked
-	ReplCross      float64 // P(a submission spans two shards)
-	ReplRedeliver  float64 // P(redeliver an acked key after failover)
+	ReplShards    int     // shards in the primary (>= 2)
+	ReplClients   int     // concurrent phase-1 clients
+	ReplSubs      int     // submissions per client
+	ReplAfterAcks int     // SIGKILL the primary once this many commits acked
+	ReplCross     float64 // P(a submission spans two shards)
+	ReplRedeliver float64 // P(redeliver an acked key after failover)
 
 	// Auto-failover scenario: like replica-failover, but nobody runs
 	// -promote. A lease-gated replicating primary is SIGKILLed mid-2PC;
@@ -161,8 +161,9 @@ type Plan struct {
 }
 
 // engineProtocols are the CC protocols the chaos scenarios rotate
-// through. MVCC/SSI/HSTORE are exercised by their own unit tests; the
-// chaos rotation sticks to the paper's evaluation set plus the lockers.
+// through: the paper's evaluation set plus the lockers, i.e. every
+// protocol in cc.Names. The list is spelled out so a seed keeps drawing
+// the same protocol even if the registry's order changes.
 var engineProtocols = []string{"OCC", "SILO", "TICTOC", "NO_WAIT", "WAIT_DIE"}
 
 // NewPlan derives the fault schedule for a seed. It is a pure function

@@ -231,7 +231,6 @@ func TestSnapshotIsolationSchedulesMore(t *testing.T) {
 		w := c.Generate()
 		o := opts()
 		o.Isolation = iso
-		o.Protocol = "MVCC"
 		r, err := RunTSKD(db, w, partition.NewStrife(12), o)
 		if err != nil {
 			t.Fatal(err)

@@ -378,6 +378,9 @@ func TestConfigRejectsUnsupportedCombinations(t *testing.T) {
 			Durability: &DurabilityOptions{Dir: t.TempDir(), WrapSyncer: wrap}}, ""},
 		{"sharded and durable, no WrapSyncer", Config{Shards: 2, ShardDB: shardDB,
 			Durability: &DurabilityOptions{Dir: t.TempDir()}}, ""},
+		// A protocol name cc.New does not know is refused here, not at
+		// the first bundle.
+		{"unknown protocol", Config{DB: ycsb.BuildDB(), Core: core.Options{Protocol: "MVCC"}}, "unknown protocol"},
 	} {
 		err := c.cfg.withDefaults()
 		switch {

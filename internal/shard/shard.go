@@ -1,8 +1,6 @@
 // Package shard is the multi-shard runtime: the paper's shared-nothing
 // generalization of TsPAR (Section 3, Limitations (3)) executed for
-// real rather than modeled in virtual time (internal/dist keeps the
-// analytic model and delegates placement here so the two cannot
-// diverge).
+// real rather than modeled in virtual time.
 //
 // The key space is hash-partitioned over N independent engine
 // instances. Each shard owns its slice exclusively: its own store, its
@@ -53,9 +51,8 @@ import (
 	"tskd/internal/txn"
 )
 
-// fibMult is the Fibonacci-hashing multiplier shared with the analytic
-// model's original Home — placement here and in internal/dist is the
-// same function by construction.
+// fibMult is the Fibonacci-hashing multiplier of the key → shard
+// placement.
 const fibMult = 0x9E3779B97F4A7C15
 
 // MaxShards bounds the shard count (participant sets are tracked as a

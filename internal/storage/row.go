@@ -58,57 +58,6 @@ type Row struct {
 	// holder, the low 31 bits count shared holders. The middle bits
 	// carry the exclusive owner's timestamp for WAIT_DIE ordering.
 	Lock atomic.Uint64
-
-	// Versions is the head of the immutable version chain maintained
-	// by multiversion protocols (nil under single-version protocols).
-	// Writers push the displaced version under the row latch; readers
-	// walk the chain lock-free.
-	Versions atomic.Pointer[VersionRec]
-}
-
-// VersionRec is one superseded row version: the tuple that was current
-// until a writer with write-timestamp newer than WTS installed its
-// successor. Records are immutable once published.
-type VersionRec struct {
-	// VerNum is the version counter the tuple carried when current.
-	VerNum uint64
-	// WTS is the write timestamp of this version.
-	WTS uint64
-	// Tuple is the version's immutable image.
-	Tuple *Tuple
-	// Next is the next-older version, or nil.
-	Next *VersionRec
-}
-
-// MaxVersionChain bounds the version chain length; readers older than
-// the tail abort and retry with a fresh timestamp.
-const MaxVersionChain = 64
-
-// PushVersion publishes rec as the newest superseded version. The
-// caller must hold the row latch. Chains are pruned at
-// MaxVersionChain.
-func (r *Row) PushVersion(rec *VersionRec) {
-	rec.Next = r.Versions.Load()
-	n := 0
-	for p := rec; p != nil; p = p.Next {
-		n++
-		if n == MaxVersionChain {
-			p.Next = nil
-			break
-		}
-	}
-	r.Versions.Store(rec)
-}
-
-// VersionAt returns the newest superseded version with WTS <= ts, or
-// nil if the chain has been pruned past ts.
-func (r *Row) VersionAt(ts uint64) *VersionRec {
-	for p := r.Versions.Load(); p != nil; p = p.Next {
-		if p.WTS <= ts {
-			return p
-		}
-	}
-	return nil
 }
 
 // NewRow allocates a row with nFields zeroed columns.

@@ -14,7 +14,7 @@ func TestBinaryOpsRoundTrip(t *testing.T) {
 		{
 			{Kind: OpRead, Key: MakeKey(1, 5)},
 			{Kind: OpWrite, Key: MakeKey(0, 0)},
-			{Kind: OpInsert, Key: MakeKey(65535, 1<<48 - 1)},
+			{Kind: OpInsert, Key: MakeKey(65535, 1<<48-1)},
 			{Kind: OpUpdate, Key: MakeKey(7, 123456789)},
 		},
 	}
@@ -95,8 +95,8 @@ func TestBinaryOpsRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := [][]byte{
-		good[:5],                      // truncated record
-		append([]byte{9}, good[:8]...), // unknown kind byte
+		good[:5],                               // truncated record
+		append([]byte{9}, good[:8]...),         // unknown kind byte
 		{byte(OpScan), 0, 0, 0, 0, 0, 0, 0, 0}, // scan has no wire form
 	}
 	for _, b := range bad {
