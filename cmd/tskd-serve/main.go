@@ -1,10 +1,9 @@
 // Command tskd-serve runs the TSKD serving layer: a TCP transaction
 // service that bundles open-system arrivals and schedules each bundle
 // with TSgen + TsDEFER over the chosen partitioner, streaming
-// per-transaction outcomes back to clients (wire protocols:
-// internal/client — length-prefixed binary frames with pipelined
-// clients, NDJSON as a per-connection negotiated fallback; see
-// DESIGN.md §14).
+// per-transaction outcomes back to clients (wire protocol:
+// internal/client — a preamble handshake, then length-prefixed binary
+// frames with pipelined clients; see DESIGN.md §14).
 //
 // Usage:
 //

@@ -2,10 +2,7 @@ package bench
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
-	"net"
-	"os"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -35,7 +32,7 @@ func repeatDur(d time.Duration, n int) []time.Duration {
 }
 
 // Golden merge math: a known population split unevenly across four
-// agents must produce these exact merged percentiles. The sample
+// results must produce these exact merged percentiles. The sample
 // values are exact bucket lower bounds of the log-bucketed histogram
 // (powers of two), so quantiles are exact, not approximations:
 // 500×524288ns, 300×1048576ns, 200×2097152ns.
@@ -51,7 +48,7 @@ func TestMergeGoldenPercentiles(t *testing.T) {
 		off += n
 		elapsed := int64(1e9)
 		if i == 0 {
-			elapsed = 2e9 // slowest agent defines the merged window
+			elapsed = 2e9 // slowest result defines the merged window
 		}
 		results = append(results, Result{
 			ElapsedNS: elapsed,
@@ -64,7 +61,6 @@ func TestMergeGoldenPercentiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Summary{
-		Agents:         4,
 		ElapsedS:       2.0,
 		ThroughputTxnS: 500, // 1000 terminal / 2s
 		GoodputTxnS:    500,
@@ -88,23 +84,23 @@ func TestMergeGoldenPercentiles(t *testing.T) {
 }
 
 // Property: merged percentiles must equal whole-population percentiles
-// exactly — the coordinator's merge math may never depend on how the
-// population was partitioned across agents.
+// exactly — the merge math may never depend on how the population was
+// partitioned across results.
 func TestMergedPercentilesEqualPopulation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		nAgents := 1 + rng.Intn(6)
+		nParts := 1 + rng.Intn(6)
 		var whole metrics.Histogram
-		parts := make([]metrics.Histogram, nAgents)
-		counts := make([]uint64, nAgents)
+		parts := make([]metrics.Histogram, nParts)
+		counts := make([]uint64, nParts)
 		for i := 0; i < 3000; i++ {
 			d := time.Duration(rng.Intn(1<<33) + 1)
-			a := rng.Intn(nAgents)
+			a := rng.Intn(nParts)
 			whole.Record(d)
 			parts[a].Record(d)
 			counts[a]++
 		}
-		results := make([]Result, nAgents)
+		results := make([]Result, nParts)
 		for i := range results {
 			results[i] = Result{
 				ElapsedNS: 1e9,
@@ -142,39 +138,10 @@ func TestMergeRejectsCorruptResult(t *testing.T) {
 	if _, err := Merge([]Result{lying}); err == nil {
 		t.Error("merge accepted more latency samples than commits")
 	}
-}
-
-func TestSpecSplit(t *testing.T) {
-	spec := Spec{
-		Mode: "closed", Addr: "x", Clients: 10, Conns: 7, N: 103,
-		Rate: 9000, Records: 100, OpsPerTxn: 4, Seed: 5,
-	}
-	for _, n := range []int{1, 2, 3, 4, 7} {
-		parts := spec.Split(n)
-		if len(parts) != n {
-			t.Fatalf("split %d: %d parts", n, len(parts))
-		}
-		var totalN, totalClients int
-		var totalRate float64
-		seeds := map[int64]bool{}
-		for _, p := range parts {
-			totalN += p.N
-			totalClients += p.Clients
-			totalRate += p.Rate
-			seeds[p.Seed] = true
-		}
-		if totalN != spec.N {
-			t.Errorf("split %d: N sums to %d", n, totalN)
-		}
-		if n <= spec.Clients && totalClients != spec.Clients {
-			t.Errorf("split %d: clients sum to %d", n, totalClients)
-		}
-		if totalRate < spec.Rate-1e-6 || totalRate > spec.Rate+1e-6 {
-			t.Errorf("split %d: rate sums to %f", n, totalRate)
-		}
-		if len(seeds) != n {
-			t.Errorf("split %d: seeds not distinct", n)
-		}
+	overcount := good
+	overcount.PerSecond = []uint64{100, 100} // more decisions than terminal outcomes
+	if _, err := Merge([]Result{overcount}); err == nil {
+		t.Error("merge accepted an oversized per-second series")
 	}
 }
 
@@ -226,179 +193,36 @@ func startTestServer(t *testing.T) *server.Server {
 	return s
 }
 
-// End to end: two in-process agents driven by a coordinator against a
-// live server. Every generated transaction must reach exactly one
-// terminal outcome and the merged histogram must cover every commit.
-func TestAgentCoordinatorEndToEnd(t *testing.T) {
+// End to end: closed, reliable and open runs against a live server.
+// Every generated transaction reaches exactly one terminal outcome and
+// the summary covers every commit.
+func TestRunLocalEndToEnd(t *testing.T) {
 	srv := startTestServer(t)
-	var agents []*AgentClient
-	for i := 0; i < 2; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close() })
-		go ServeAgent(ln, ln.Addr().String(), nil)
-		a, err := DialAgent(ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(a.Close)
-		agents = append(agents, a)
-	}
-	total := Spec{
-		Addr: srv.Addr(), Mode: "closed", Clients: 4, N: 300,
+	base := Spec{
+		Addr: srv.Addr(), N: 300,
 		Records: 2000, Theta: 0.5, OpsPerTxn: 4, ReadRatio: 0.5, RMW: true, Seed: 7,
 	}
-	results, err := Coordinate(agents, total.Split(len(agents)), 200*time.Millisecond, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Merge(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Counts.Errors != 0 {
-		t.Errorf("errors: %+v", s.Counts)
-	}
-	if got := s.Counts.Terminal(); got != 300 {
-		t.Errorf("terminal outcomes = %d, want 300 (%+v)", got, s.Counts)
-	}
-	if s.Counts.Committed == 0 || s.ThroughputTxnS <= 0 || s.P50US <= 0 {
-		t.Errorf("implausible summary: %+v", s)
-	}
-	for i, r := range results {
-		if r.Agent == "" {
-			t.Errorf("result %d unlabeled", i)
-		}
-	}
-	// The control connection is reusable: a second, smaller round.
-	total.N, total.Seed = 60, 8
-	results, err = Coordinate(agents, total.Split(len(agents)), 200*time.Millisecond, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err = Merge(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Counts.Terminal() != 60 {
-		t.Errorf("second round terminal = %d", s.Counts.Terminal())
-	}
-}
-
-// agentEnv puts a re-exec of this test binary into load-agent mode, so
-// SpawnLocalAgents runs against real subprocesses.
-const agentEnv = "TSKD_BENCH_TEST_AGENT"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(agentEnv) != "" {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	closed, reliable, open := base, base, base
+	closed.Mode, closed.Clients = "closed", 4
+	reliable.Mode, reliable.Clients, reliable.Reliable = "closed", 2, true
+	open.Mode, open.Conns, open.Rate, open.Arrival = "open", 2, 5000, "uniform"
+	for _, spec := range []Spec{closed, reliable, open} {
+		res, err := RunLocal(context.Background(), spec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			t.Fatalf("%s reliable=%v: %v", spec.Mode, spec.Reliable, err)
 		}
-		fmt.Printf("%s%s\n", ListenBanner, ln.Addr())
-		ServeAgent(ln, ln.Addr().String(), nil)
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// The -local-agents path: two agent subprocesses, spawned and
-// coordinated against a live server, account for every transaction.
-func TestSpawnLocalAgents(t *testing.T) {
-	srv := startTestServer(t)
-	self, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv(agentEnv, "1")
-	agents, stop, err := SpawnLocalAgents(2, self)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	total := Spec{
-		Addr: srv.Addr(), Mode: "closed", Clients: 4, N: 200,
-		Records: 2000, Theta: 0.5, OpsPerTxn: 4, ReadRatio: 0.5, RMW: true, Seed: 3,
-	}
-	results, err := Coordinate(agents, total.Split(len(agents)), 200*time.Millisecond, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Merge(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Agents != 2 || results[0].Agent == results[1].Agent {
-		t.Errorf("want two distinct agents, got %q and %q", results[0].Agent, results[1].Agent)
-	}
-	if got := s.Counts.Terminal(); got != uint64(total.N) {
-		t.Errorf("terminal outcomes = %d, want %d (%+v)", got, total.N, s.Counts)
-	}
-	if s.Counts.Errors != 0 {
-		t.Errorf("errors: %+v", s.Counts)
-	}
-}
-
-// The agent must reject a malformed spec at prepare rather than fail at
-// start, and survive to serve a correct session afterwards.
-func TestAgentRejectsBadSpec(t *testing.T) {
-	srv := startTestServer(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go ServeAgent(ln, "a1", nil)
-	a, err := DialAgent(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Close)
-	if err := a.Prepare(Spec{Mode: "sideways"}); err == nil {
-		t.Fatal("bad spec accepted")
-	}
-	good := Spec{Addr: srv.Addr(), Mode: "closed", Clients: 1, N: 10,
-		Records: 2000, Theta: 0.5, OpsPerTxn: 4, ReadRatio: 0.5, RMW: true, Seed: 1}
-	if err := a.Prepare(good); err != nil {
-		t.Fatalf("good spec after bad one: %v", err)
-	}
-	if err := a.Start(time.Now().Add(50 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.Collect(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counts.Terminal() != 10 {
-		t.Errorf("terminal = %d", res.Counts.Terminal())
-	}
-}
-
-func TestResultRoundTrip(t *testing.T) {
-	var h metrics.Histogram
-	h.Record(time.Millisecond)
-	h.Record(2 * time.Millisecond)
-	r := Result{
-		Agent: "a0", ElapsedNS: 123456789,
-		Counts:    Counts{Sent: 3, Committed: 2, Aborted: 1},
-		Latency:   h.Data(),
-		PerSecond: []uint64{2, 1},
-	}
-	got, err := DecodeResult(EncodeResult(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err1 := Merge([]Result{r})
-	s2, err2 := Merge([]Result{got})
-	if err1 != nil || err2 != nil || s1.P99US != s2.P99US || s1.Counts != s2.Counts {
-		t.Errorf("round trip changed the result: %+v vs %+v", s1, s2)
-	}
-	// Lying per-second series must be rejected.
-	r.PerSecond = []uint64{100, 100}
-	if _, err := DecodeResult(EncodeResult(r)); err == nil {
-		t.Error("oversized per-second series accepted")
+		s, err := Merge([]Result{res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Counts.Errors != 0 {
+			t.Errorf("%s reliable=%v: errors: %+v", spec.Mode, spec.Reliable, s.Counts)
+		}
+		if got := s.Counts.Terminal(); got != uint64(spec.N) {
+			t.Errorf("%s reliable=%v: terminal outcomes = %d, want %d (%+v)", spec.Mode, spec.Reliable, got, spec.N, s.Counts)
+		}
+		if s.Counts.Committed == 0 || s.ThroughputTxnS <= 0 || s.P50US <= 0 {
+			t.Errorf("%s reliable=%v: implausible summary: %+v", spec.Mode, spec.Reliable, s)
+		}
 	}
 }

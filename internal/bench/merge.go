@@ -7,14 +7,11 @@ import (
 	"tskd/internal/metrics"
 )
 
-// Summary is the coordinator's merged view of N agent results. Its
-// percentiles are computed from the merged histogram population — the
-// exact quantiles one observer of every request would have seen — and
-// its rates divide aggregate counts by the longest agent elapsed time
-// (agents start on a common barrier, so the slowest agent's window
-// contains every sample).
+// Summary is the merged view of one or more results. Its percentiles
+// are computed from the merged histogram population — the exact
+// quantiles one observer of every request would have seen — and its
+// rates divide aggregate counts by the longest elapsed time.
 type Summary struct {
-	Agents         int      `json:"agents"`
 	ElapsedS       float64  `json:"elapsed_s"`
 	Counts         Counts   `json:"counts"`
 	ThroughputTxnS float64  `json:"throughput_txn_s"`
@@ -30,7 +27,7 @@ type Summary struct {
 	PerSecond      []uint64 `json:"per_second,omitempty"`
 }
 
-// Merge combines agent results into one summary. Every result is
+// Merge combines results into one summary. Every result is
 // validated on the way in; a single corrupt result poisons the whole
 // merge, so it fails loudly instead.
 func Merge(results []Result) (Summary, error) {
@@ -67,7 +64,6 @@ func Merge(results []Result) (Summary, error) {
 			s.PerSecond[sec] += n
 		}
 	}
-	s.Agents = len(results)
 	s.ElapsedS = elapsed.Seconds()
 	if elapsed > 0 {
 		s.ThroughputTxnS = float64(s.Counts.Terminal()) / elapsed.Seconds()

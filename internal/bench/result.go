@@ -1,14 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"tskd/internal/metrics"
 )
 
-// Counts tallies terminal outcomes of one agent's run. Sent counts
+// Counts tallies terminal outcomes of one run. Sent counts
 // submissions (a closed-loop retry after rejection is a new
 // submission); the rest partition responses by status.
 type Counts struct {
@@ -44,13 +43,12 @@ func (c Counts) Terminal() uint64 {
 	return c.Committed + c.Aborted + c.Canceled + c.Expired
 }
 
-// Result is what one agent (or the local runner) produces: elapsed
-// wall clock, outcome counts, full-resolution latency histograms, and
-// a per-second series of terminal decisions since the start barrier.
-// Histograms ride as bucket data, not percentiles, precisely so the
-// coordinator can merge populations instead of averaging summaries.
+// Result is what a run produces: elapsed wall clock, outcome counts,
+// full-resolution latency histograms, and a per-second series of
+// terminal decisions since the start. Histograms are kept as bucket
+// data, not percentiles, so Merge combines populations instead of
+// averaging summaries.
 type Result struct {
-	Agent     string                `json:"agent,omitempty"`
 	ElapsedNS int64                 `json:"elapsed_ns"`
 	Counts    Counts                `json:"counts"`
 	Latency   metrics.HistogramData `json:"latency"`
@@ -62,12 +60,11 @@ type Result struct {
 // Elapsed returns the run's wall-clock duration.
 func (r Result) Elapsed() time.Duration { return time.Duration(r.ElapsedNS) }
 
-// maxPerSecond bounds the per-second series a decoded result may carry
-// (24h of bins); anything longer is a corrupt or hostile file.
+// maxPerSecond bounds the per-second series a result may carry (24h of
+// bins); anything longer is corrupt.
 const maxPerSecond = 24 * 3600
 
-// Validate checks the cross-field invariants a decoded result must
-// hold. Histogram bucket data is validated by metrics.FromData.
+// Validate checks the cross-field invariants a result must hold. Histogram bucket data is validated by metrics.FromData.
 func (r Result) Validate() error {
 	if r.ElapsedNS < 0 {
 		return fmt.Errorf("bench: result: negative elapsed %d", r.ElapsedNS)
@@ -94,25 +91,4 @@ func (r Result) Validate() error {
 		return fmt.Errorf("bench: result: per-second sum %d exceeds terminal count %d", perSec, r.Counts.Terminal())
 	}
 	return nil
-}
-
-// EncodeResult marshals a result for the control connection or a file.
-func EncodeResult(r Result) []byte {
-	b, _ := json.Marshal(r)
-	return b
-}
-
-// DecodeResult parses and validates a result produced by EncodeResult.
-// It is the untrusted-input surface for agent-shipped payloads, so it
-// must reject anything inconsistent rather than propagate it into
-// merged numbers (and it is fuzzed).
-func DecodeResult(b []byte) (Result, error) {
-	var r Result
-	if err := json.Unmarshal(b, &r); err != nil {
-		return Result{}, fmt.Errorf("bench: decode result: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return Result{}, err
-	}
-	return r, nil
 }

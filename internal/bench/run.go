@@ -1,19 +1,7 @@
-// Package bench is tskd-load's distributed load generator. It has
-// three parts:
-//
-//   - A load runner (Run/Prepare) shared by tskd-load's local mode and
-//     agent mode: closed- or open-loop generation against a tskd-serve
-//     address, with per-worker tallies whose histograms are merged —
-//     never averaged — into whole-population percentiles.
-//   - An agent control protocol (ServeAgent / AgentClient / Coordinate):
-//     a coordinator fans a workload spec out to N agents over small
-//     NDJSON control connections, starts them on a synchronized
-//     wall-clock barrier, and collects full-resolution results.
-//   - Exact merge math (Merge): agents ship compressed latency
-//     histograms (metrics.HistogramData) and per-second throughput
-//     series; merging reconstructs the unified population, so merged
-//     p50/p99/p999 equal what one process observing every request would
-//     have reported.
+// Package bench is tskd-load's load generator: closed- or open-loop
+// generation against a tskd-serve address (Prepare/Run, RunLocal),
+// with per-worker tallies whose latency histograms are merged — never
+// averaged — into whole-population percentiles (Merge).
 package bench
 
 import (
@@ -30,43 +18,37 @@ import (
 )
 
 // Spec describes one load run: the target server, the loop discipline,
-// and the YCSB workload shape. It is the unit the coordinator fans out
-// to agents, so it must be JSON-serializable and self-contained.
+// and the YCSB workload shape. Every connection is a pipelined binary
+// one.
 type Spec struct {
-	Addr    string  `json:"addr"`
-	Mode    string  `json:"mode"`              // "closed" or "open"
-	Clients int     `json:"clients"`           // closed-loop submitters
-	Conns   int     `json:"conns"`             // sockets; closed mode 0 = one per client
-	Rate    float64 `json:"rate,omitempty"`    // open-loop target arrival rate, txn/s
-	Arrival string  `json:"arrival,omitempty"` // open-loop: "poisson" or "uniform"
-	N       int     `json:"n"`                 // transactions to submit
+	Addr    string
+	Mode    string  // "closed" or "open"
+	Clients int     // closed-loop submitters
+	Conns   int     // sockets; closed mode 0 = one per client, at most 16
+	Rate    float64 // open-loop target arrival rate, txn/s
+	Arrival string  // open-loop: "poisson" or "uniform"
+	N       int     // transactions to submit
 
-	TimeoutMS int64 `json:"timeout_ms"` // per-submission timeout
+	TimeoutMS int64 // per-submission timeout
 
-	Records   int     `json:"records"`
-	Theta     float64 `json:"theta"`
-	OpsPerTxn int     `json:"ops_per_txn"`
-	ReadRatio float64 `json:"read_ratio"`
-	RMW       bool    `json:"rmw"`
-	Seed      int64   `json:"seed"`
+	Records   int
+	Theta     float64
+	OpsPerTxn int
+	ReadRatio float64
+	RMW       bool
+	Seed      int64
 
-	Reliable bool `json:"reliable,omitempty"` // closed loop via ReliableConn
+	Reliable bool // closed loop via ReliableConn
 
-	// Wire selects the protocol: "" or "ndjson" is the text fallback,
-	// "binary" the length-prefixed frame protocol. Pipeline uses the
-	// multiplexed pipelined client (binary implies a pipelined
-	// connection; the flag additionally applies it to ndjson), with
-	// Window capping in-flight submissions per connection (0 = client
+	// Window caps in-flight submissions per connection (0 = client
 	// default).
-	Wire     string `json:"wire,omitempty"`
-	Pipeline bool   `json:"pipeline,omitempty"`
-	Window   int    `json:"window,omitempty"`
+	Window int
 
-	Shards   int     `json:"shards,omitempty"`    // server shard count for key confinement
-	MultiKey float64 `json:"multi_key,omitempty"` // fraction of txns spanning 2+ shards
+	Shards   int     // server shard count for key confinement
+	MultiKey float64 // fraction of txns spanning 2+ shards
 
-	DeadlineMS int64   `json:"deadline_ms,omitempty"`
-	LowPri     float64 `json:"low_pri,omitempty"`
+	DeadlineMS int64
+	LowPri     float64
 }
 
 // Timeout returns the per-submission timeout with a sane default.
@@ -77,8 +59,7 @@ func (s Spec) Timeout() time.Duration {
 	return time.Duration(s.TimeoutMS) * time.Millisecond
 }
 
-// Validate rejects specs that cannot run. Agents call this on
-// coordinator input — a control connection is an untrusted surface.
+// Validate rejects specs that cannot run.
 func (s Spec) Validate() error {
 	if s.Addr == "" {
 		return fmt.Errorf("bench: spec: empty addr")
@@ -122,76 +103,15 @@ func (s Spec) Validate() error {
 	if s.MultiKey > 0 && s.Shards <= 1 {
 		return fmt.Errorf("bench: spec: multi_key needs shards > 1")
 	}
-	switch s.Wire {
-	case "", "ndjson", "binary":
-	default:
-		return fmt.Errorf("bench: spec: unknown wire protocol %q (ndjson, binary)", s.Wire)
-	}
 	if s.Window < 0 {
 		return fmt.Errorf("bench: spec: window must be >= 0")
 	}
 	return nil
 }
 
-// pipelined reports whether the spec's connections are pipelined
-// clients: requested explicitly, or implied by the binary protocol
-// (whose client is the pipelined one).
-func (s Spec) pipelined() bool { return s.Pipeline || s.Wire == "binary" }
-
-func (s Spec) wireProto() client.WireProto {
-	if s.Wire == "binary" {
-		return client.ProtoBinary
-	}
-	return client.ProtoNDJSON
-}
-
-// dialConn dials one load connection per the spec's wire settings.
-func dialConn(s Spec) (client.WireConn, error) {
-	if s.pipelined() {
-		return client.DialPipelined(s.Addr, client.PipelineConfig{Proto: s.wireProto(), Window: s.Window})
-	}
-	return client.Dial(s.Addr)
-}
-
-// Split divides a spec across n agents: transaction counts, submitter
-// counts, sockets, and offered rate are divided (remainders to the
-// first agents); seeds are spaced so agents draw disjoint workload
-// streams. The sum of the parts offers the same aggregate load as the
-// whole.
-func (s Spec) Split(n int) []Spec {
-	if n < 1 {
-		n = 1
-	}
-	parts := make([]Spec, n)
-	for i := range parts {
-		p := s
-		p.N = s.N / n
-		if i < s.N%n {
-			p.N++
-		}
-		if s.Mode == "closed" {
-			p.Clients = s.Clients / n
-			if i < s.Clients%n {
-				p.Clients++
-			}
-			if p.Clients < 1 {
-				p.Clients = 1
-			}
-		}
-		if s.Conns > 0 {
-			p.Conns = s.Conns / n
-			if i < s.Conns%n {
-				p.Conns++
-			}
-			if p.Conns < 1 {
-				p.Conns = 1
-			}
-		}
-		p.Rate = s.Rate / float64(n)
-		p.Seed = s.Seed + int64(i)*15485863
-		parts[i] = p
-	}
-	return parts
+// dial opens one load connection.
+func (s Spec) dial(addr string) (client.WireConn, error) {
+	return client.DialPipelined(addr, client.PipelineConfig{Window: s.Window})
 }
 
 // outcome is one submission's terminal observation.
@@ -273,9 +193,7 @@ func (ta *tally) result(elapsed time.Duration) Result {
 }
 
 // Prepared is a spec with its expensive setup done: requests generated
-// and connections dialed. Splitting preparation from Run keeps workload
-// generation and dialing off the coordinator's synchronized start
-// barrier, so agents begin offering load at the same instant.
+// and connections dialed, so neither is on the timed path of Run.
 type Prepared struct {
 	spec   Spec
 	perWkr [][]client.Request // closed: per submitter; open: single stream
@@ -313,19 +231,12 @@ func Prepare(spec Spec) (*Prepared, error) {
 	}
 	nconns := spec.Conns
 	if spec.Mode == "closed" && nconns == 0 && !spec.Reliable {
-		if spec.pipelined() {
-			// Pipelined clients multiplex many submitters per socket;
-			// one connection per client would waste the whole point.
-			nconns = spec.Clients
-			if nconns > 16 {
-				nconns = 16
-			}
-		} else {
-			nconns = spec.Clients
-		}
+		// Pipelined connections multiplex many submitters per socket;
+		// one connection per client would waste the whole point.
+		nconns = min(spec.Clients, 16)
 	}
 	for i := 0; i < nconns; i++ {
-		c, err := dialConn(spec)
+		c, err := spec.dial(spec.Addr)
 		if err != nil {
 			p.Close()
 			return nil, fmt.Errorf("bench: dial %s: %w", spec.Addr, err)
@@ -379,19 +290,8 @@ func makeRequests(spec Spec, n int, seed int64) ([]client.Request, error) {
 	return reqs, nil
 }
 
-// Run executes the prepared load. When startAt is non-zero, the runner
-// sleeps until that wall-clock instant first — the coordinator's
-// synchronized barrier. The context aborts the run (agent "stop").
-func (p *Prepared) Run(ctx context.Context, startAt time.Time) (Result, error) {
-	if !startAt.IsZero() {
-		if d := time.Until(startAt); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return Result{}, ctx.Err()
-			}
-		}
-	}
+// Run executes the prepared load. The context aborts the run.
+func (p *Prepared) Run(ctx context.Context) (Result, error) {
 	switch p.spec.Mode {
 	case "closed":
 		return p.runClosed(ctx)
@@ -431,16 +331,7 @@ func (p *Prepared) runClosed(ctx context.Context) (Result, error) {
 				// it from the spec seed would make a re-run against a
 				// durable server an all-duplicate no-op — the dedup window
 				// would answer every submission from cache.
-				var policy client.RetryPolicy
-				if p.spec.pipelined() {
-					spec := p.spec
-					policy.Dial = func(addr string) (client.WireConn, error) {
-						return client.DialPipelined(addr, client.PipelineConfig{
-							Proto: spec.wireProto(), Window: spec.Window,
-						})
-					}
-				}
-				rc := client.DialReliable(p.spec.Addr, policy)
+				rc := client.DialReliable(p.spec.Addr, client.RetryPolicy{Dial: p.spec.dial})
 				defer rc.Close()
 				err = p.closedLoopReliable(ctx, rc, p.perWkr[ci], start, timeout, ta)
 			} else {
@@ -610,5 +501,5 @@ func RunLocal(ctx context.Context, spec Spec) (Result, error) {
 		return Result{}, err
 	}
 	defer p.Close()
-	return p.Run(ctx, time.Time{})
+	return p.Run(ctx)
 }

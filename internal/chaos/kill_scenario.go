@@ -288,7 +288,7 @@ func runKillRestart(seed int64) Report {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			conn, err := client.Dial(addr)
+			conn, err := client.DialPipelined(addr, client.PipelineConfig{})
 			if err != nil {
 				errs <- fmt.Sprintf("phase 1 client %d dial: %v", c, err)
 				return

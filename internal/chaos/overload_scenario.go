@@ -121,7 +121,7 @@ func runOverloadWALStall(seed int64) Report {
 		outcomes = append(outcomes, o)
 		mu.Unlock()
 	}
-	submit := func(conn *client.Conn, req client.Request) (client.Response, bool) {
+	submit := func(conn *client.PipelinedConn, req client.Request) (client.Response, bool) {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		resp, err := conn.Submit(ctx, req)
@@ -132,7 +132,7 @@ func runOverloadWALStall(seed int64) Report {
 		return resp, true
 	}
 
-	conn, err := client.Dial(srv.Addr())
+	conn, err := client.DialPipelined(srv.Addr(), client.PipelineConfig{})
 	if err != nil {
 		v.addf("dial: %v", err)
 		return fail()
@@ -172,7 +172,7 @@ func runOverloadWALStall(seed int64) Report {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			bc, err := client.Dial(srv.Addr())
+			bc, err := client.DialPipelined(srv.Addr(), client.PipelineConfig{})
 			if err != nil {
 				errs <- fmt.Sprintf("phase 1 client %d dial: %v", c, err)
 				return

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -56,12 +55,21 @@ func (p Plan) serverTxn(c, i int, marker uint64) *txn.Transaction {
 // the close lands; either way its outcome must not be lost *and* it
 // must not execute twice.
 func dropSend(addr string, req client.Request) error {
+	ops, err := txn.ParseOps(nil, req.Ops)
+	if err != nil {
+		return err
+	}
+	msg, err := client.AppendRequestFrame([]byte(client.BinPreamble), &req, ops)
+	if err != nil {
+		return err
+	}
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
 	}
 	defer nc.Close()
-	return json.NewEncoder(nc).Encode(&req)
+	_, err = nc.Write(msg)
+	return err
 }
 
 // runServerFaults drives a loopback server with concurrent clients
@@ -114,7 +122,7 @@ func runServerFaults(seed int64) Report {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			conn, err := client.Dial(srv.Addr())
+			conn, err := client.DialPipelined(srv.Addr(), client.PipelineConfig{})
 			if err != nil {
 				fail <- fmt.Sprintf("client %d dial: %v", c, err)
 				return

@@ -1,18 +1,14 @@
 // binwire.go: the versioned, length-prefixed binary wire protocol —
-// the serving layer's fast framing, with NDJSON kept as a negotiated
-// fallback for debuggability. The frame discipline follows
+// the serving layer's only framing. The frame discipline follows
 // internal/replica: every frame is
 //
 //	u32 payloadLen | payload
 //
 // little endian, the payload starting with a one-byte frame type and a
-// hard size cap treated as stream corruption. Negotiation is a
-// first-bytes sniff: a binary client opens with the 5-byte preamble
-// "TSKB" + version, whose first byte ('T') can never start a JSON
-// object, so the server peeks one byte and picks the codec; the server
-// echoes the preamble back so the client knows the upgrade took.
-// Anything else is served as NDJSON lines, byte-compatible with every
-// earlier client.
+// hard size cap treated as stream corruption. A connection opens with
+// the 5-byte preamble "TSKB" + version; the server echoes it back so
+// the client knows the server speaks this version, and closes a
+// connection that opens with anything else.
 //
 // Frame payloads:
 //
@@ -29,9 +25,9 @@
 //	(leader flag only: llen u16 | leader)
 //
 // where code maps the well-known status constants (commit, abort, …)
-// and code 0 escapes to an inline status string, so the binary codec
-// can carry anything the JSON codec can — the property FuzzWireParity
-// checks. Responses ride in batch frames: the server coalesces one
+// and code 0 escapes to an inline status string, so any Response
+// survives the round trip — the property FuzzWireParity checks.
+// Responses ride in batch frames: the server coalesces one
 // frame (one write) per bundle per connection, which with pipelined
 // clients replaces a syscall per transaction with a syscall per
 // bundle.
@@ -45,10 +41,8 @@ import (
 	"tskd/internal/txn"
 )
 
-// BinPreamble opens a binary-protocol connection: the magic "TSKB"
-// plus a version byte. The server echoes it on acceptance. Its first
-// byte cannot begin a JSON value, which is what makes the first-byte
-// sniff unambiguous.
+// BinPreamble opens a connection: the magic "TSKB" plus a version
+// byte. The server echoes it on acceptance.
 const BinPreamble = "TSKB\x01"
 
 // BinVersion is the protocol version carried in the preamble.
@@ -63,8 +57,7 @@ const (
 )
 
 // MaxBinFrameBytes bounds a binary frame payload; larger lengths are
-// treated as stream corruption, matching the NDJSON scanner's 4 MiB
-// line cap.
+// treated as stream corruption.
 const MaxBinFrameBytes = 4 << 20
 
 var errBinShort = errors.New("client: short binary frame")
@@ -206,8 +199,7 @@ func DecodeRequestFrame(payload []byte, r *Request, t *txn.Transaction, in *Inte
 }
 
 // Status codes for the binary response body. Code 0 escapes to an
-// inline status string so unknown statuses survive the binary codec
-// byte-equivalently to JSON.
+// inline status string so unknown statuses survive the codec.
 const (
 	binStatusInline = byte(iota)
 	binStatusCommit
@@ -385,16 +377,14 @@ func DecodeResponseBody(b []byte, r *Response) ([]byte, error) {
 	return b, nil
 }
 
-// AppendResponsesFrame appends a complete BinFrameResponses frame
-// (length prefix included) holding the already-encoded bodies to dst:
-// the flush-time assembly of the server's per-bundle coalesced write.
-func AppendResponsesFrame(dst []byte, count uint32, bodies []byte) ([]byte, error) {
-	n := 1 + 4 + len(bodies)
-	if n > MaxBinFrameBytes {
-		return dst, fmt.Errorf("client: response frame of %d bytes exceeds cap", n)
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+// AppendResponsesHeader appends the header of a BinFrameResponses
+// frame holding count response bodies of bodiesLen bytes in total; the
+// caller writes the bodies right after it. Keeping the header separate
+// lets the server write a batch it already holds without copying it
+// into a frame. The caller keeps bodiesLen under MaxBinFrameBytes
+// minus the header's type and count bytes.
+func AppendResponsesHeader(dst []byte, count uint32, bodiesLen int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+4+bodiesLen))
 	dst = append(dst, BinFrameResponses)
-	dst = binary.LittleEndian.AppendUint32(dst, count)
-	return append(dst, bodies...), nil
+	return binary.LittleEndian.AppendUint32(dst, count)
 }

@@ -4,9 +4,28 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
-	"unicode/utf8"
 
 	"tskd/internal/txn"
+)
+
+// Benchmark fixtures sized like real serve-path traffic: an 8-op YCSB
+// transaction with params, and the response that acknowledges it.
+var (
+	benchReq = Request{
+		Seq:      123456,
+		Template: "ycsb",
+		Params:   []uint64{17, 4242, 99, 100000, 7, 8, 9, 10},
+		Ops:      "R[x17]U[x4242]R[x99]W[x100000]R[x7]R[x8]U[x9]W[x10]",
+		IdemKey:  987654321,
+	}
+	benchResp = Response{
+		Seq:     123456,
+		Status:  StatusCommit,
+		Retries: 2,
+		QueueUS: 1500,
+		ExecUS:  870,
+		Bundle:  42,
+	}
 )
 
 // binBenchOps is benchReq's op list pre-parsed, as the pipelined
@@ -171,12 +190,10 @@ func TestInterner(t *testing.T) {
 	}
 }
 
-// FuzzWireParity extends PR 4's differential discipline across codecs:
-// for any request the text protocol can carry, the binary protocol
-// must produce the same semantics — same envelope, same decoded
-// operation list, same params — and any response must survive both
-// codecs identically. This is the property that lets the server treat
-// the two protocols as one service.
+// FuzzWireParity checks the binary codec's round trip on structured
+// inputs: any request whose ops the notation parser accepts decodes
+// back to the same envelope, params and operation list, and any
+// response decodes back to the same struct.
 func FuzzWireParity(f *testing.F) {
 	f.Add(uint64(1), "ycsb", "R[x1]W[x2]", []byte{1, 0}, uint64(7), int64(50), byte(0),
 		"commit", "", int32(2), int64(81), int32(4), false, "")
@@ -191,8 +208,8 @@ func FuzzWireParity(f *testing.F) {
 		if err != nil {
 			t.Skip() // not a wire-expressible transaction
 		}
-		if len(template) > 0xFFFF || !utf8.ValidString(template) {
-			t.Skip() // JSON coerces invalid UTF-8; no cross-codec parity to check
+		if len(template) > 0xFFFF {
+			t.Skip()
 		}
 		var params []uint64
 		for i := 0; i+8 <= len(paramBytes) && len(params) < 16; i += 8 {
@@ -201,52 +218,37 @@ func FuzzWireParity(f *testing.F) {
 		req := Request{Seq: seq, Template: template, Params: params, Ops: opsStr,
 			IdemKey: idem, DeadlineMS: deadline, Priority: pri}
 
-		// NDJSON round trip.
-		line := AppendRequest(nil, &req)
-		var viaJSON Request
-		if err := DecodeRequest(line[:len(line)-1], &viaJSON); err != nil {
-			t.Fatalf("ndjson round trip rejected: %v", err)
-		}
-		jsonOps, err := txn.ParseOps(nil, viaJSON.Ops)
-		if err != nil {
-			t.Fatalf("ndjson ops %q do not re-parse: %v", viaJSON.Ops, err)
-		}
-
-		// Binary round trip.
 		frame, err := AppendRequestFrame(nil, &req, ops)
 		if err != nil {
-			t.Fatalf("binary encode rejected parser output: %v", err)
+			t.Fatalf("encode rejected parser output: %v", err)
 		}
-		var viaBin Request
+		var got Request
 		var tx txn.Transaction
-		if err := DecodeRequestFrame(frame[4:], &viaBin, &tx, NewInterner(0)); err != nil {
-			t.Fatalf("binary round trip rejected: %v", err)
+		if err := DecodeRequestFrame(frame[4:], &got, &tx, NewInterner(0)); err != nil {
+			t.Fatalf("round trip rejected: %v", err)
 		}
-
-		// Parity: envelope scalars, template, params, operation list.
-		if viaBin.Seq != viaJSON.Seq || viaBin.IdemKey != viaJSON.IdemKey ||
-			viaBin.DeadlineMS != viaJSON.DeadlineMS || viaBin.Priority != viaJSON.Priority ||
-			viaBin.Template != viaJSON.Template {
-			t.Fatalf("envelopes disagree: json=%+v bin=%+v", viaJSON, viaBin)
+		if got.Seq != req.Seq || got.IdemKey != req.IdemKey ||
+			got.DeadlineMS != req.DeadlineMS || got.Priority != req.Priority ||
+			got.Template != req.Template || tx.Template != req.Template || tx.IdemKey != req.IdemKey {
+			t.Fatalf("envelope changed: sent %+v, got %+v (txn %+v)", req, got, tx)
 		}
-		if len(tx.Params) != len(viaJSON.Params) {
-			t.Fatalf("params disagree: json=%v bin=%v", viaJSON.Params, tx.Params)
+		if len(tx.Params) != len(params) {
+			t.Fatalf("params changed: %v -> %v", params, tx.Params)
 		}
-		for i := range tx.Params {
-			if tx.Params[i] != viaJSON.Params[i] {
-				t.Fatalf("params disagree: json=%v bin=%v", viaJSON.Params, tx.Params)
+		for i := range params {
+			if tx.Params[i] != params[i] {
+				t.Fatalf("params changed: %v -> %v", params, tx.Params)
 			}
 		}
-		if len(tx.Ops) != len(jsonOps) {
-			t.Fatalf("ops disagree: json=%v bin=%v", jsonOps, tx.Ops)
+		if len(tx.Ops) != len(ops) {
+			t.Fatalf("ops changed: %v -> %v", ops, tx.Ops)
 		}
-		for i := range tx.Ops {
-			if tx.Ops[i] != jsonOps[i] {
-				t.Fatalf("ops disagree: json=%v bin=%v", jsonOps, tx.Ops)
+		for i := range ops {
+			if tx.Ops[i] != ops[i] {
+				t.Fatalf("ops changed: %v -> %v", ops, tx.Ops)
 			}
 		}
 
-		// Responses: both codecs must reproduce the struct exactly.
 		if len(status) > 0xFFFF || len(errStr) > 0xFFFF || len(leader) > 0xFFFF {
 			t.Skip()
 		}
@@ -254,33 +256,20 @@ func FuzzWireParity(f *testing.F) {
 			QueueUS: us, ExecUS: -us, Bundle: int(bundle), RetryAfterMS: us,
 			Error: errStr, Duplicate: dup, Leader: leader}
 		body := AppendResponseBody(nil, &resp)
-		var binResp Response
-		rest, err := DecodeResponseBody(body, &binResp)
+		var gotResp Response
+		rest, err := DecodeResponseBody(body, &gotResp)
 		if err != nil || len(rest) != 0 {
-			t.Fatalf("binary response round trip: err=%v rest=%d", err, len(rest))
+			t.Fatalf("response round trip: err=%v rest=%d", err, len(rest))
 		}
-		if binResp != resp {
-			t.Fatalf("binary response changed: %+v -> %+v", resp, binResp)
-		}
-		// The JSON codec coerces invalid UTF-8 to U+FFFD (encoding/json
-		// semantics); the binary codec is lossless. Cross-codec equality
-		// therefore holds exactly on the strings JSON can carry.
-		if utf8.ValidString(status) && utf8.ValidString(errStr) && utf8.ValidString(leader) {
-			respLine := AppendResponse(nil, &resp)
-			var jsonResp Response
-			if err := DecodeResponse(respLine[:len(respLine)-1], &jsonResp); err != nil {
-				t.Fatalf("ndjson response round trip: %v", err)
-			}
-			if jsonResp != binResp {
-				t.Fatalf("codecs disagree on response: json=%+v bin=%+v", jsonResp, binResp)
-			}
+		if gotResp != resp {
+			t.Fatalf("response changed: %+v -> %+v", resp, gotResp)
 		}
 	})
 }
 
-// Binary-codec alloc budgets: the binary hot path must beat the NDJSON
-// floor — encode and decode both allocation-free in steady state
-// (reused buffers, warm transaction capacity, interned template).
+// Binary-codec alloc budgets: encode and decode are both
+// allocation-free in steady state (reused buffers, warm transaction
+// capacity, interned template).
 func TestBinWireAllocBudgets(t *testing.T) {
 	frame := mustFrame(t, &benchReq, binBenchOps)
 	payload := frame[4:]
@@ -339,9 +328,8 @@ func BenchmarkWireBinEncodeRequest(b *testing.B) {
 	}
 }
 
-// BenchmarkWireBinDecodeRequest measures the server's binary request
-// decode into a pooled transaction — the path that replaces the 2-alloc
-// NDJSON decode plus the op parse.
+// BenchmarkWireBinDecodeRequest measures the server's request decode
+// into a pooled transaction.
 func BenchmarkWireBinDecodeRequest(b *testing.B) {
 	frame := mustFrame(b, &benchReq, binBenchOps)
 	payload := frame[4:]
@@ -374,22 +362,6 @@ func BenchmarkWireBinDecodeResponse(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeResponseBody(body, &r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireDecodeRequestInterned measures the NDJSON fallback
-// decode with per-connection interning (the serve path's configuration)
-// against BenchmarkWireDecodeRequest's uninterned baseline.
-func BenchmarkWireDecodeRequestInterned(b *testing.B) {
-	line := AppendRequest(nil, &benchReq)
-	line = line[:len(line)-1]
-	d := NewRequestDecoder(0)
-	var r Request
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := d.Decode(line, &r); err != nil {
 			b.Fatal(err)
 		}
 	}

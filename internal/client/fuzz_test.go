@@ -1,130 +1,55 @@
 package client
 
 import (
-	"encoding/json"
+	"bytes"
 	"reflect"
 	"testing"
 
 	"tskd/internal/txn"
 )
 
-// FuzzRequestDecode checks that arbitrary bytes never panic the
-// envelope decoder and that anything accepted re-encodes to an
-// equivalent envelope — the server trusts this property when echoing
-// requests into bundles.
-func FuzzRequestDecode(f *testing.F) {
-	seeds := []string{
-		`{"seq":1,"ops":"R[x1]W[x2]"}`,
-		`{"seq":18446744073709551615,"template":"NewOrder","params":[1,2,3],"ops":"U[1:5]"}`,
-		`{}`,
-		`{"seq":-1}`,
-		`[]`,
-		`{"ops":42}`,
-		"\x00\x01\x02",
+// FuzzBinDecode feeds arbitrary bytes to the server's and the
+// client's frame decoders — the bytes a broken or hostile peer can
+// send. Neither may panic; a payload DecodeRequestFrame accepts must
+// re-encode byte-identically through AppendRequestFrame (the layout
+// has no slack a decoder could silently ignore); and a response-body
+// walk over the same bytes must either consume bytes at every step or
+// stop on an error.
+func FuzzBinDecode(f *testing.F) {
+	frame, err := AppendRequestFrame(nil, &Request{Seq: 7, Template: "ycsb",
+		Params: []uint64{1, 2}, IdemKey: 9, DeadlineMS: 50, Priority: 1},
+		[]txn.Op{{Kind: txn.OpRead, Key: txn.MakeKey(1, 5)}, {Kind: txn.OpUpdate, Key: txn.MakeKey(1, 7)}})
+	if err != nil {
+		f.Fatal(err)
 	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
+	f.Add(frame[4:])
+	f.Add(AppendResponseBody(nil, &Response{Seq: 3, Status: StatusNotPrimary, Leader: "b:1", Error: "moved"}))
+	f.Add(AppendResponseBody(nil, &Response{Seq: 4, Status: "inline"}))
+	f.Add([]byte{BinFrameRequest})
+	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req Request
-		if err := json.Unmarshal(data, &req); err != nil {
-			return
+		var r Request
+		var tx txn.Transaction
+		if err := DecodeRequestFrame(data, &r, &tx, NewInterner(4)); err == nil {
+			r.Params = tx.Params
+			again, err := AppendRequestFrame(nil, &r, tx.Ops)
+			if err != nil {
+				t.Fatalf("accepted payload does not re-encode: %v", err)
+			}
+			if !bytes.Equal(again[4:], data) {
+				t.Fatalf("re-encode differs:\n in  %x\n out %x", data, again[4:])
+			}
 		}
-		b, err := json.Marshal(req)
-		if err != nil {
-			t.Fatalf("accepted request does not re-encode: %v", err)
-		}
-		var again Request
-		if err := json.Unmarshal(b, &again); err != nil {
-			t.Fatalf("re-encoded request does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(req, again) {
-			t.Fatalf("round trip changed envelope: %+v != %+v", again, req)
-		}
-	})
-}
-
-// FuzzDecodeParity differentially tests the hand-rolled wire decoders
-// against encoding/json on arbitrary lines: both must agree on
-// accept/reject, and on every accepted line they must produce the same
-// struct. This is the property that lets the fast path silently replace
-// json.Unmarshal on the serve path.
-func FuzzDecodeParity(f *testing.F) {
-	seeds := []string{
-		`{"seq":1,"ops":"R[x1]W[x2]"}`,
-		`{"seq":9,"status":"commit","retries":2,"queue_us":81,"exec_us":96,"bundle":4}`,
-		`{"seq":2,"status":"error","error":"bad A envelope","duplicate":true}`,
-		`{"seq":18446744073709551615,"template":"NewOrder","params":[1,2,3],"ops":"U[1:5]"}`,
-		`{"seq":007,"params":[],"unknown":null}`,
-		`{"seq":1.5,"retry_after_ms":-3}`,
-		`{} trailing`,
-		"\x00\x01\x02",
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var jreq, freq Request
-		jerr := json.Unmarshal(data, &jreq)
-		ferr := DecodeRequest(data, &freq)
-		if (jerr == nil) != (ferr == nil) {
-			t.Fatalf("request accept mismatch on %q: json err=%v, fast err=%v", data, jerr, ferr)
-		}
-		if jerr == nil && !reflect.DeepEqual(jreq, freq) {
-			t.Fatalf("request value mismatch on %q: json=%+v fast=%+v", data, jreq, freq)
-		}
-		var jresp, fresp Response
-		jerr = json.Unmarshal(data, &jresp)
-		ferr = DecodeResponse(data, &fresp)
-		if (jerr == nil) != (ferr == nil) {
-			t.Fatalf("response accept mismatch on %q: json err=%v, fast err=%v", data, jerr, ferr)
-		}
-		if jerr == nil && jresp != fresp {
-			t.Fatalf("response value mismatch on %q: json=%+v fast=%+v", data, jresp, fresp)
-		}
-	})
-}
-
-// FuzzAppendEncodeParity checks that the append-style encoders are
-// drop-in replacements for json.Marshal: for arbitrary field values —
-// including strings that need escaping or carry invalid UTF-8 — a
-// consumer using encoding/json sees exactly the same struct it would
-// have seen from a Marshal-encoded line.
-func FuzzAppendEncodeParity(f *testing.F) {
-	f.Add(uint64(1), "YCSB-A", "R[x1]", uint64(7), "commit", "", int64(81), true)
-	f.Add(uint64(0), "quo\"te\\\n", "", uint64(0), "error", "some \x01 error", int64(-5), false)
-	f.Fuzz(func(t *testing.T, seq uint64, template, ops string, idem uint64,
-		status, errStr string, us int64, dup bool) {
-		req := Request{Seq: seq, Template: template, Ops: ops, IdemKey: idem}
-		jsonLine, err := json.Marshal(&req)
-		if err != nil {
-			t.Skip()
-		}
-		var viaJSON, viaAppend Request
-		if err := json.Unmarshal(jsonLine, &viaJSON); err != nil {
-			t.Skip()
-		}
-		if err := json.Unmarshal(AppendRequest(nil, &req), &viaAppend); err != nil {
-			t.Fatalf("encoded request rejected by encoding/json: %v", err)
-		}
-		if !reflect.DeepEqual(viaJSON, viaAppend) {
-			t.Fatalf("request encoders disagree: json=%+v append=%+v", viaJSON, viaAppend)
-		}
-		resp := Response{Seq: seq, Status: status, QueueUS: us, ExecUS: -us,
-			RetryAfterMS: us, Error: errStr, Duplicate: dup}
-		jsonLine, err = json.Marshal(&resp)
-		if err != nil {
-			t.Skip()
-		}
-		var jresp, aresp Response
-		if err := json.Unmarshal(jsonLine, &jresp); err != nil {
-			t.Skip()
-		}
-		if err := json.Unmarshal(AppendResponse(nil, &resp), &aresp); err != nil {
-			t.Fatalf("encoded response rejected by encoding/json: %v", err)
-		}
-		if jresp != aresp {
-			t.Fatalf("response encoders disagree: json=%+v append=%+v", jresp, aresp)
+		var resp Response
+		for b := data; len(b) > 0; {
+			rest, err := DecodeResponseBody(b, &resp)
+			if err != nil {
+				break
+			}
+			if len(rest) >= len(b) {
+				t.Fatalf("response body decode consumed nothing from %d bytes", len(b))
+			}
+			b = rest
 		}
 	})
 }

@@ -13,12 +13,10 @@ import (
 	"tskd/internal/txn"
 )
 
-// pipeline.go: the pipelined multiplexed client. A plain Conn writes
-// and flushes one request line per Submit — correct, but at high
-// concurrency the per-submit syscall is the ceiling. PipelinedConn
-// keeps many transactions in flight per connection (monotonic request
-// ids, out-of-order completion) and coalesces writes: Submit appends
-// the encoded request to a pending buffer and wakes a flusher
+// pipeline.go: the client connection. PipelinedConn keeps many
+// transactions in flight per connection (monotonic request ids,
+// out-of-order completion) and coalesces writes: Submit appends the
+// encoded request frame to a pending buffer and wakes a flusher
 // goroutine, which swaps the buffer out under the lock and issues one
 // write for every request that accumulated while the previous write
 // was on the wire. Under load this batches adaptively — the deeper the
@@ -30,23 +28,22 @@ import (
 // full, Submit blocks before encoding rather than growing the pending
 // buffer without bound.
 
-// WireProto selects a client's wire protocol.
+// WireProto names a wire protocol. The binary frame protocol is the
+// only one; the type, its single value and PipelineConfig.Proto remain
+// because the benchmark harness (benchmark/serve.go) names them.
 type WireProto string
 
-const (
-	// ProtoNDJSON is the newline-delimited JSON protocol — the
-	// debuggable fallback every server version speaks.
-	ProtoNDJSON = WireProto("ndjson")
-	// ProtoBinary is the length-prefixed binary frame protocol.
-	ProtoBinary = WireProto("binary")
-)
+// ProtoBinary is the length-prefixed binary frame protocol, the only
+// protocol DialPipelined accepts.
+const ProtoBinary = WireProto("binary")
 
 // DefaultWindow is the pipelined credit window when none is given.
 const DefaultWindow = 1024
 
 // PipelineConfig shapes a pipelined connection.
 type PipelineConfig struct {
-	// Proto is the wire protocol (default ProtoBinary).
+	// Proto must be "" or ProtoBinary; DialPipelined rejects anything
+	// else.
 	Proto WireProto
 	// Window caps in-flight submissions on this connection (default
 	// DefaultWindow).
@@ -59,7 +56,6 @@ type PipelineConfig struct {
 // concurrent use.
 type PipelinedConn struct {
 	nc      net.Conn
-	proto   WireProto
 	credits chan struct{} // windowed-credit cap on in-flight requests
 	seq     atomic.Uint64
 
@@ -71,23 +67,22 @@ type PipelinedConn struct {
 	wmu        sync.Mutex // guards the write-side buffers
 	wpend      []byte     // encoded requests awaiting the flusher
 	wscratch   []byte     // the flusher's other half of the double buffer
-	opsScratch []txn.Op   // binary encode: notation parsed here, once
+	opsScratch []txn.Op   // request encode: notation parsed here, once
 	flushCh    chan struct{}
 
-	chans sync.Pool // recycled one-shot response channels (see Conn)
+	// chans recycles the one-shot response channels Submit waits on;
+	// a channel is returned to the pool only after its single send has
+	// been received, so a pooled channel is always empty.
+	chans sync.Pool
 }
 
-// DialPipelined connects to a server's transaction listener with
-// pipelining. For ProtoBinary the protocol is negotiated synchronously
-// (preamble out, echo back) before the first Submit, so a dial against
-// a server that does not speak the binary protocol fails cleanly
-// rather than corrupting the stream.
+// DialPipelined connects to a server's transaction listener. The
+// preamble handshake (preamble out, echo back) completes before the
+// first Submit, so a dial against a server that does not speak the
+// binary protocol fails cleanly rather than corrupting the stream.
 func DialPipelined(addr string, cfg PipelineConfig) (*PipelinedConn, error) {
-	if cfg.Proto == "" {
-		cfg.Proto = ProtoBinary
-	}
-	if cfg.Proto != ProtoNDJSON && cfg.Proto != ProtoBinary {
-		return nil, fmt.Errorf("client: unknown wire protocol %q", cfg.Proto)
+	if cfg.Proto != "" && cfg.Proto != ProtoBinary {
+		return nil, fmt.Errorf("client: unknown wire protocol %q (only %q)", cfg.Proto, ProtoBinary)
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
@@ -96,15 +91,12 @@ func DialPipelined(addr string, cfg PipelineConfig) (*PipelinedConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Proto == ProtoBinary {
-		if err := handshakeBinary(nc); err != nil {
-			nc.Close()
-			return nil, err
-		}
+	if err := handshakeBinary(nc); err != nil {
+		nc.Close()
+		return nil, err
 	}
 	c := &PipelinedConn{
 		nc:      nc,
-		proto:   cfg.Proto,
 		credits: make(chan struct{}, cfg.Window),
 		pend:    make(map[uint64]chan Response),
 		done:    make(chan struct{}),
@@ -115,11 +107,7 @@ func DialPipelined(addr string, cfg PipelineConfig) (*PipelinedConn, error) {
 	}
 	c.chans.New = func() any { return make(chan Response, 1) }
 	go c.flusher()
-	if cfg.Proto == ProtoBinary {
-		go c.readFrames()
-	} else {
-		go c.readLines()
-	}
+	go c.readFrames()
 	return c, nil
 }
 
@@ -138,14 +126,14 @@ func handshakeBinary(nc net.Conn) error {
 	return nil
 }
 
-// Proto reports the connection's negotiated wire protocol.
-func (c *PipelinedConn) Proto() WireProto { return c.proto }
-
 // Submit sends one transaction and blocks until its outcome arrives,
 // the context is done, or the connection fails. The request's Seq is
 // assigned by the connection. Submit blocks for a window credit first;
 // credits are released as outcomes (or failures) come back, so at most
-// Window transactions are in flight.
+// Window transactions are in flight. A request that cannot be encoded
+// (bad ops notation, an oversized template) is answered StatusError
+// without being sent, as the server answers a malformed frame: an
+// error return always means the connection failed.
 func (c *PipelinedConn) Submit(ctx context.Context, req Request) (Response, error) {
 	select {
 	case <-c.credits:
@@ -174,7 +162,7 @@ func (c *PipelinedConn) Submit(ctx context.Context, req Request) (Response, erro
 		delete(c.pend, req.Seq)
 		c.mu.Unlock()
 		c.chans.Put(ch)
-		return Response{}, err
+		return Response{Seq: req.Seq, Status: StatusError, Error: err.Error()}, nil
 	}
 
 	select {
@@ -201,19 +189,15 @@ func (c *PipelinedConn) Submit(ctx context.Context, req Request) (Response, erro
 // buffers, so the steady state allocates nothing.
 func (c *PipelinedConn) enqueue(req *Request) error {
 	c.wmu.Lock()
-	if c.proto == ProtoBinary {
-		ops, err := txn.ParseOps(c.opsScratch[:0], req.Ops)
-		if err != nil {
-			c.wmu.Unlock()
-			return fmt.Errorf("client: bad ops notation: %w", err)
-		}
-		c.opsScratch = ops
-		if c.wpend, err = AppendRequestFrame(c.wpend, req, ops); err != nil {
-			c.wmu.Unlock()
-			return err
-		}
-	} else {
-		c.wpend = AppendRequest(c.wpend, req)
+	ops, err := txn.ParseOps(c.opsScratch[:0], req.Ops)
+	if err != nil {
+		c.wmu.Unlock()
+		return fmt.Errorf("client: bad ops notation: %w", err)
+	}
+	c.opsScratch = ops
+	if c.wpend, err = AppendRequestFrame(c.wpend, req, ops); err != nil {
+		c.wmu.Unlock()
+		return err
 	}
 	c.wmu.Unlock()
 	select {
@@ -248,8 +232,8 @@ func (c *PipelinedConn) flusher() {
 	}
 }
 
-// readFrames dispatches binary response batches until the connection
-// dies; then it fails every waiter.
+// readFrames dispatches response batches until the connection dies;
+// then it fails every waiter.
 func (c *PipelinedConn) readFrames() {
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	var hdr [4]byte
@@ -288,26 +272,6 @@ func (c *PipelinedConn) readFrames() {
 			c.dispatch(resp)
 		}
 	}
-}
-
-// readLines dispatches NDJSON response lines (the fallback protocol)
-// until the connection dies.
-func (c *PipelinedConn) readLines() {
-	sc := bufio.NewScanner(c.nc)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var resp Response
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if err := DecodeResponse(line, &resp); err != nil {
-			c.fail(fmt.Errorf("client: bad response line: %w", err))
-			return
-		}
-		c.dispatch(resp)
-	}
-	c.failRead(sc.Err())
 }
 
 func (c *PipelinedConn) dispatch(resp Response) {

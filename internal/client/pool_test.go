@@ -3,16 +3,66 @@ package client
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
+	"io"
 	"net"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tskd/internal/txn"
 )
 
-// scriptedServer accepts one connection and answers each request line
-// with a response whose ExecUS echoes the request's Seq, after asking
-// the script how long to stall that particular seq. It lets the tests
+// serveFrames runs the server side of one connection for the fake
+// servers in this package's tests: it answers the preamble, then hands
+// each decoded request to answer, whose reply callback writes a
+// one-body response frame (safe from any goroutine). It returns when
+// the connection fails or carries a bad frame.
+func serveFrames(nc net.Conn, answer func(req Request, reply func(Response))) {
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	var pre [len(BinPreamble)]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil || string(pre[:]) != BinPreamble {
+		return
+	}
+	if _, err := nc.Write(pre[:]); err != nil {
+		return
+	}
+	var wmu sync.Mutex
+	reply := func(resp Response) {
+		body := AppendResponseBody(nil, &resp)
+		frame := append(AppendResponsesHeader(nil, 1, len(body)), body...)
+		wmu.Lock()
+		defer wmu.Unlock()
+		nc.Write(frame)
+	}
+	var hdr [4]byte
+	for {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return
+		}
+		n := binary.LittleEndian.Uint32(hdr[:])
+		if n > MaxBinFrameBytes {
+			return
+		}
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return
+		}
+		var req Request
+		var tx txn.Transaction
+		if err := DecodeRequestFrame(payload, &req, &tx, nil); err != nil {
+			return
+		}
+		answer(req, reply)
+	}
+}
+
+// scriptedServer accepts one connection and answers each request with
+// a response whose ExecUS echoes the request's Seq, after asking the
+// script how long to stall that particular seq. It lets the tests
 // below interleave late responses with new submissions.
 func scriptedServer(t *testing.T, delay func(seq uint64) time.Duration) string {
 	t.Helper()
@@ -26,21 +76,14 @@ func scriptedServer(t *testing.T, delay func(seq uint64) time.Duration) string {
 		if err != nil {
 			return
 		}
-		defer nc.Close()
-		sc := bufio.NewScanner(nc)
-		for sc.Scan() {
-			var req Request
-			if err := DecodeRequest(sc.Bytes(), &req); err != nil {
-				return
-			}
+		serveFrames(nc, func(req Request, reply func(Response)) {
 			go func(seq uint64) {
 				if d := delay(seq); d > 0 {
 					time.Sleep(d)
 				}
-				resp := Response{Seq: seq, Status: StatusCommit, ExecUS: int64(seq)}
-				nc.Write(AppendResponse(nil, &resp))
+				reply(Response{Seq: seq, Status: StatusCommit, ExecUS: int64(seq)})
 			}(req.Seq)
-		}
+		})
 	}()
 	return ln.Addr().String()
 }
@@ -59,7 +102,7 @@ func TestSubmitPooledChannelNoStaleDelivery(t *testing.T) {
 		}
 		return 0
 	})
-	c, err := Dial(addr)
+	c, err := DialPipelined(addr, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

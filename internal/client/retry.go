@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// retry.go: the reliable client. A plain Conn surfaces every failure
+// retry.go: the reliable client. A PipelinedConn surfaces every failure
 // to the caller — a lost connection mid-Submit leaves the outcome
 // unknown, because the transaction may have committed before the ack
 // was lost. ReliableConn closes that gap with idempotency keys: every
@@ -23,8 +23,8 @@ import (
 // retried with jittered exponential backoff, never below the server's
 // retry-after hint.
 
-// WireConn is the submit surface ReliableConn heals over: a plain
-// Conn, a PipelinedConn of either protocol, or a test double.
+// WireConn is the submit surface ReliableConn heals over: a
+// PipelinedConn or a test double.
 type WireConn interface {
 	Submit(ctx context.Context, req Request) (Response, error)
 	Close() error
@@ -47,11 +47,12 @@ type RetryPolicy struct {
 	RetryCanceled *bool
 	// Seed fixes the jitter sequence (0: nondeterministic).
 	Seed int64
-	// Dial replaces the connection factory (nil: plain Dial). Use it
-	// to run the reliable client over pipelined connections:
+	// Dial replaces the connection factory (nil: DialPipelined with
+	// the default PipelineConfig). Use it to set a credit window or to
+	// capture the live connection:
 	//
 	//	RetryPolicy{Dial: func(addr string) (WireConn, error) {
-	//		return DialPipelined(addr, PipelineConfig{})
+	//		return DialPipelined(addr, PipelineConfig{Window: 64})
 	//	}}
 	Dial func(addr string) (WireConn, error)
 }
@@ -198,7 +199,9 @@ func (r *ReliableConn) current() (WireConn, error) {
 	r.skipQuarantinedLocked()
 	dial := r.policy.Dial
 	if dial == nil {
-		dial = func(addr string) (WireConn, error) { return Dial(addr) }
+		dial = func(addr string) (WireConn, error) {
+			return DialPipelined(addr, PipelineConfig{})
+		}
 	}
 	c, err := dial(r.addrs[r.cur])
 	if err != nil {

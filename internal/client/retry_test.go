@@ -1,9 +1,9 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -105,9 +105,10 @@ func TestBackoffHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// flappingListener accepts connections and immediately closes each one
-// before a single response is written — a server stuck in a crash
-// loop. It counts the connections it slammed.
+// flappingListener accepts connections, completes the preamble
+// handshake, and closes each one before a single response is written —
+// a server stuck in a crash loop: dials succeed, connections die. It
+// counts the connections it slammed.
 func flappingListener(t *testing.T) (string, *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -123,6 +124,10 @@ func flappingListener(t *testing.T) (string, *atomic.Int64) {
 				return
 			}
 			slammed.Add(1)
+			var pre [len(BinPreamble)]byte
+			if _, err := io.ReadFull(nc, pre[:]); err == nil {
+				nc.Write(pre[:])
+			}
 			nc.Close()
 		}
 	}()
@@ -144,18 +149,9 @@ func steadyServer(t *testing.T) string {
 			if err != nil {
 				return
 			}
-			go func(nc net.Conn) {
-				defer nc.Close()
-				sc := bufio.NewScanner(nc)
-				for sc.Scan() {
-					var req Request
-					if err := DecodeRequest(sc.Bytes(), &req); err != nil {
-						return
-					}
-					resp := Response{Seq: req.Seq, Status: StatusCommit}
-					nc.Write(AppendResponse(nil, &resp))
-				}
-			}(nc)
+			go serveFrames(nc, func(req Request, reply func(Response)) {
+				reply(Response{Seq: req.Seq, Status: StatusCommit})
+			})
 		}
 	}()
 	return ln.Addr().String()
@@ -189,6 +185,32 @@ func TestMultiAddrFailsOverFromFlappingServer(t *testing.T) {
 	}
 }
 
+// TestMalformedRequestIsTerminal: a request the client cannot encode
+// comes back StatusError, terminal, without costing the connection —
+// ReliableConn neither resubmits it nor redials, so the connection
+// other submissions share stays up.
+func TestMalformedRequestIsTerminal(t *testing.T) {
+	var dials atomic.Int64
+	r := DialReliable(steadyServer(t), RetryPolicy{
+		Base: time.Millisecond, Max: 5 * time.Millisecond, Seed: 1,
+		Dial: func(addr string) (WireConn, error) {
+			dials.Add(1)
+			return DialPipelined(addr, PipelineConfig{})
+		},
+	})
+	defer r.Close()
+	resp, err := r.Submit(context.Background(), Request{Ops: "R[x1]X[x2]"})
+	if err != nil || resp.Status != StatusError || resp.Error == "" {
+		t.Fatalf("malformed submit: %+v, %v; want StatusError", resp, err)
+	}
+	if resp, err := r.Submit(context.Background(), Request{Ops: "R[x1]"}); err != nil || !resp.Committed() {
+		t.Fatalf("submit after malformed: %+v, %v", resp, err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("dialed %d times, want 1", n)
+	}
+}
+
 // redirectingServer answers every request with not_primary pointing at
 // leader — a deposed primary that knows its successor.
 func redirectingServer(t *testing.T, leader string) (string, *atomic.Int64) {
@@ -205,19 +227,10 @@ func redirectingServer(t *testing.T, leader string) (string, *atomic.Int64) {
 			if err != nil {
 				return
 			}
-			go func(nc net.Conn) {
-				defer nc.Close()
-				sc := bufio.NewScanner(nc)
-				for sc.Scan() {
-					var req Request
-					if err := DecodeRequest(sc.Bytes(), &req); err != nil {
-						return
-					}
-					refused.Add(1)
-					resp := Response{Seq: req.Seq, Status: StatusNotPrimary, Leader: leader}
-					nc.Write(AppendResponse(nil, &resp))
-				}
-			}(nc)
+			go serveFrames(nc, func(req Request, reply func(Response)) {
+				refused.Add(1)
+				reply(Response{Seq: req.Seq, Status: StatusNotPrimary, Leader: leader})
+			})
 		}
 	}()
 	return ln.Addr().String(), &refused
@@ -291,7 +304,7 @@ func TestQuarantineSkipsDeadAddress(t *testing.T) {
 				dead.Add(1)
 				return nil, errors.New("connection refused")
 			}
-			return Dial(addr)
+			return DialPipelined(addr, PipelineConfig{})
 		},
 	})
 	defer r.Close()

@@ -1,19 +1,20 @@
 // Package client is the wire protocol and client library of the TSKD
-// serving layer (internal/server). The protocol is deliberately plain:
-// newline-delimited JSON envelopes over a TCP connection, one request
-// line per transaction, one response line per outcome. Transactions
-// travel in the paper's compact notation (internal/txn/parse.go), so a
-// request is readable on the wire:
+// serving layer (internal/server). A connection opens with a 5-byte
+// preamble that the server echoes, then carries length-prefixed binary
+// frames: one request frame per transaction from the client, and
+// response frames from the server, each batching the outcomes of one
+// bundle (binwire.go has the layouts). PipelinedConn is the client
+// connection and ReliableConn the self-healing client over it.
 //
-//	{"seq":7,"template":"YCSB-A","ops":"R[1:42]U[1:99]"}
-//	{"seq":7,"status":"commit","retries":1,"queue_us":812,"exec_us":96}
+// Request and Response are the Go form of a submission and its
+// outcome. A request's operations are written in the paper's compact
+// notation (internal/txn/parse.go), e.g. "R[1:42]U[1:99]"; the client
+// parses them once and sends fixed-width op records.
 //
 // Responses stream back on the submitting connection as bundles
 // complete; they are matched to requests by seq, which is
-// per-connection and chosen by the client. The server never reorders a
-// connection's responses relative to admission of the *same* seq, but
-// responses across seqs arrive in bundle-completion order, not
-// submission order.
+// per-connection and chosen by the client. Responses across seqs
+// arrive in bundle-completion order, not submission order.
 package client
 
 import (

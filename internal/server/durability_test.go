@@ -85,7 +85,7 @@ func TestDurableRecovery(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDurableRecovery(t *testing.T) {
 	if err := s2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	conn2, err := client.Dial(s2.Addr())
+	conn2, err := client.DialPipelined(s2.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCheckpointTruncation(t *testing.T) {
 			if err := s.Start(); err != nil {
 				t.Fatal(err)
 			}
-			conn, err := client.Dial(s.Addr())
+			conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,7 +282,7 @@ func TestCheckpointTruncation(t *testing.T) {
 			if err := s2.Start(); err != nil {
 				t.Fatal(err)
 			}
-			conn2, err := client.Dial(s2.Addr())
+			conn2, err := client.DialPipelined(s2.Addr(), client.PipelineConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,7 +314,7 @@ func TestDurableSync(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestInflightDuplicateRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Shutdown(context.Background())
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestWALRecordsCarryIdemKeys(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -81,7 +83,7 @@ func TestClosedLoopSerializable(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			conn, err := client.Dial(s.Addr())
+			conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 			if err != nil {
 				errs <- err
 				return
@@ -135,7 +137,7 @@ func TestOpenLoopAndMetrics(t *testing.T) {
 	s, ycsb := startServer(t, nil)
 	defer s.Shutdown(context.Background())
 
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +217,7 @@ func TestBackpressure(t *testing.T) {
 	})
 	defer s.Shutdown(context.Background())
 
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +277,7 @@ func TestDrainFlushesAdmitted(t *testing.T) {
 		c.FlushInterval = time.Hour
 	})
 
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +336,7 @@ func TestDrainFlushesAdmitted(t *testing.T) {
 // live connection after drain starts is rejected, not dropped.
 func TestRejectedWhileDraining(t *testing.T) {
 	s, ycsb := startServer(t, nil)
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,33 +359,123 @@ func TestRejectedWhileDraining(t *testing.T) {
 	<-done
 }
 
-// TestMalformedRequests checks the error path of the wire protocol.
+// rawConn dials the server and completes the preamble handshake by
+// hand, for tests that write frames a well-behaved client never would.
+func rawConn(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	if _, err := io.WriteString(nc, client.BinPreamble); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	echo := make([]byte, len(client.BinPreamble))
+	if _, err := io.ReadFull(br, echo); err != nil || string(echo) != client.BinPreamble {
+		t.Fatalf("handshake: echo %q, err %v", echo, err)
+	}
+	return nc, br
+}
+
+// requestFrame encodes req as one request frame, length prefix included.
+func requestFrame(t *testing.T, req client.Request) []byte {
+	t.Helper()
+	ops, err := txn.ParseOps(nil, req.Ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := client.AppendRequestFrame(nil, &req, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// readResponse reads one response frame and returns its first body.
+func readResponse(t *testing.T, nc net.Conn, br *bufio.Reader) client.Response {
+	t.Helper()
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	defer nc.SetReadDeadline(time.Time{})
+	var hdr [4]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		t.Fatalf("read response frame: %v", err)
+	}
+	payload := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(br, payload); err != nil {
+		t.Fatalf("read response frame: %v", err)
+	}
+	if len(payload) < 5 || payload[0] != client.BinFrameResponses {
+		t.Fatalf("not a response frame: %x", payload)
+	}
+	var resp client.Response
+	if _, err := client.DecodeResponseBody(payload[5:], &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// expectClosed reads until the server closes the connection, failing
+// if it is still open after a few seconds.
+func expectClosed(t *testing.T, nc net.Conn, br *bufio.Reader) {
+	t.Helper()
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, br); err != nil {
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatal("server left the connection open")
+		}
+	}
+}
+
+// TestMalformedRequests checks the error paths of the wire protocol on
+// a handshaken socket: a request frame that decodes badly is answered
+// with StatusError under its own seq and the connection stays usable;
+// a corrupt frame header (bad length, wrong frame type) closes it.
 func TestMalformedRequests(t *testing.T) {
 	s, _ := startServer(t, nil)
 	defer s.Shutdown(context.Background())
 
-	conn, err := client.Dial(s.Addr())
-	if err != nil {
+	nc, br := rawConn(t, s.Addr())
+	bad := requestFrame(t, client.Request{Seq: 41, Ops: "R[x1]"})
+	bad[len(bad)-txn.OpWireBytes] = 0x7f // the op record's kind byte
+	if _, err := nc.Write(bad); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-
-	resp, err := conn.Submit(context.Background(), client.Request{Ops: "R[x1]X[x2]"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != client.StatusError || resp.Error == "" {
-		t.Errorf("malformed ops: %+v", resp)
+	resp := readResponse(t, nc, br)
+	if resp.Seq != 41 || resp.Status != client.StatusError || resp.Error == "" {
+		t.Errorf("bad op kind: %+v, want StatusError for seq 41", resp)
 	}
 	if st := s.Stats(); st.Malformed != 1 {
-		t.Errorf("malformed counter = %d", st.Malformed)
+		t.Errorf("malformed counter = %d, want 1", st.Malformed)
 	}
 	// The connection must still work afterwards.
-	good := txn.MustParse(0, "R[x1]W[x1]")
-	req, _ := client.NewRequest(0, good)
-	resp, err = conn.Submit(context.Background(), req)
-	if err != nil || !resp.Committed() {
-		t.Errorf("post-error submit: %+v %v", resp, err)
+	if _, err := nc.Write(requestFrame(t, client.Request{Seq: 42, Ops: "R[x1]W[x1]"})); err != nil {
+		t.Fatal(err)
+	}
+	if resp := readResponse(t, nc, br); resp.Seq != 42 || !resp.Committed() {
+		t.Errorf("post-error submit: %+v", resp)
+	}
+
+	badLen := func(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
+	typeTwo := requestFrame(t, client.Request{Seq: 43, Ops: "R[x1]"})
+	typeTwo[4] = client.BinFrameResponses
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"zero length", badLen(0)},
+		{"length over cap", badLen(client.MaxBinFrameBytes + 1)},
+		{"frame type 2", typeTwo},
+	} {
+		nc, br := rawConn(t, s.Addr())
+		if _, err := nc.Write(tc.frame); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		expectClosed(t, nc, br)
+	}
+	if st := s.Stats(); st.Malformed != 4 || st.Admitted != 1 {
+		t.Errorf("malformed %d admitted %d, want 4/1", st.Malformed, st.Admitted)
 	}
 }
 
@@ -422,12 +514,12 @@ func TestClientDisconnectMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := json.NewEncoder(nc)
+	msg := []byte(client.BinPreamble)
 	for i := 0; i < doomed; i++ {
-		req := makeReq(t, uint64(i+1), marker(i))
-		if err := enc.Encode(&req); err != nil {
-			t.Fatal(err)
-		}
+		msg = append(msg, requestFrame(t, makeReq(t, uint64(i+1), marker(i)))...)
+	}
+	if _, err := nc.Write(msg); err != nil {
+		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Stats().Admitted < doomed {
@@ -440,7 +532,7 @@ func TestClientDisconnectMidStream(t *testing.T) {
 
 	// A healthy client on a separate connection must be unaffected.
 	const live = 40
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

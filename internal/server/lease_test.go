@@ -54,7 +54,7 @@ func TestLeaseGateRefusesAndRedirects(t *testing.T) {
 
 	// Held lease: submissions commit and the lease shows on /metrics
 	// and /healthz.
-	conn, err := client.Dial(a.Addr())
+	conn, err := client.DialPipelined(a.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestLeaseGateRefusesAndRedirects(t *testing.T) {
 	}
 
 	// Direct submission to A is refused with the new leader's address.
-	conn2, err := client.Dial(a.Addr())
+	conn2, err := client.DialPipelined(a.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

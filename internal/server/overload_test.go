@@ -19,7 +19,7 @@ func TestDeadlineExpiredOnArrival(t *testing.T) {
 	s, ycsb := startServer(t, nil)
 	defer s.Shutdown(context.Background())
 
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestDeadlineExpiresAtBundleFormation(t *testing.T) {
 	})
 	defer s.Shutdown(context.Background())
 
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDefaultDeadlineApplies(t *testing.T) {
 	})
 	defer s.Shutdown(context.Background())
 
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestShedSaturationAndBrownout(t *testing.T) {
 	})
 	defer s.Shutdown(context.Background())
 
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestBreakerFastFailAndRecovery(t *testing.T) {
 	})
 	defer s.Shutdown(context.Background())
 
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,15 +16,14 @@ import (
 )
 
 // pipeline_e2e_test.go: end-to-end coverage of the binary wire
-// protocol and the pipelined client — negotiation by first-byte sniff,
-// many in-flight transactions completing out of order, the NDJSON
-// fallback over the same listener, and exactly-once effects across a
-// mid-stream connection drop.
+// protocol and the pipelined client — the preamble handshake, many
+// in-flight transactions completing out of order, and exactly-once
+// effects across a mid-stream connection drop.
 
 // TestPipelinedBinaryE2E drives one binary pipelined connection with
 // many concurrent submitters: every transaction commits, completions
 // interleave across bundles (out-of-order by construction), and the
-// server reports the negotiated protocol.
+// server counts the handshaken connection.
 func TestPipelinedBinaryE2E(t *testing.T) {
 	s, ycsb := startServer(t, nil)
 	defer s.Shutdown(context.Background())
@@ -31,9 +33,6 @@ func TestPipelinedBinaryE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if conn.Proto() != client.ProtoBinary {
-		t.Fatalf("negotiated %q, want binary", conn.Proto())
-	}
 
 	const workers, perWorker = 8, 100
 	var wg sync.WaitGroup
@@ -66,57 +65,33 @@ func TestPipelinedBinaryE2E(t *testing.T) {
 	if st.Committed != workers*perWorker {
 		t.Errorf("committed %d, want %d", st.Committed, workers*perWorker)
 	}
-	if st.ConnsBinary != 1 || st.ConnsNDJSON != 0 {
-		t.Errorf("conns binary/ndjson = %d/%d, want 1/0", st.ConnsBinary, st.ConnsNDJSON)
+	if st.ConnsBinary != 1 {
+		t.Errorf("conns_binary = %d, want 1", st.ConnsBinary)
 	}
 	if st.Bundles >= workers*perWorker {
 		t.Errorf("bundles %d for %d txns: pipelining produced no batching", st.Bundles, workers*perWorker)
 	}
 }
 
-// TestPipelinedNDJSONFallback runs the same pipelined client over the
-// NDJSON fallback protocol against the same listener: the sniff must
-// route it to the text path transparently (the compatibility a legacy
-// tskd-load depends on) and count the downgrade.
-func TestPipelinedNDJSONFallback(t *testing.T) {
-	s, ycsb := startServer(t, nil)
+// TestConnWithoutPreambleClosed: a connection that opens with a JSON
+// request line instead of the preamble is counted malformed and
+// closed, and nothing it sent is admitted.
+func TestConnWithoutPreambleClosed(t *testing.T) {
+	s, _ := startServer(t, nil)
 	defer s.Shutdown(context.Background())
 
-	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{Proto: client.ProtoNDJSON, Window: 64})
+	nc, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-
-	const n = 120
-	reqs := genRequests(t, ycsb, n, 77)
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for _, req := range reqs {
-		wg.Add(1)
-		go func(req client.Request) {
-			defer wg.Done()
-			resp, err := conn.Submit(context.Background(), req)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !resp.Committed() {
-				errs <- fmt.Errorf("status %q (%s)", resp.Status, resp.Error)
-			}
-		}(req)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	defer nc.Close()
+	if _, err := io.WriteString(nc, `{"seq":1,"ops":"R[x1]"}`+"\n"); err != nil {
 		t.Fatal(err)
 	}
+	expectClosed(t, nc, bufio.NewReader(nc))
 	st := s.Stats()
-	if st.Committed != n {
-		t.Errorf("committed %d, want %d", st.Committed, n)
-	}
-	if st.ConnsBinary != 0 || st.ConnsNDJSON != 1 {
-		t.Errorf("conns binary/ndjson = %d/%d, want 0/1", st.ConnsBinary, st.ConnsNDJSON)
+	if st.Malformed != 1 || st.Admitted != 0 || st.ConnsBinary != 0 {
+		t.Errorf("malformed %d admitted %d conns_binary %d, want 1/0/0", st.Malformed, st.Admitted, st.ConnsBinary)
 	}
 }
 

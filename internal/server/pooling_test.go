@@ -13,7 +13,7 @@ import (
 // pooled pendings, pooled transactions, per-connection encode buffers,
 // buffered bundle flushes — with many concurrent connections. If a
 // pooled object were ever reused while its response was still in
-// flight, response lines would interleave corruptly (the client's
+// flight, response frames would interleave corruptly (the client's
 // decoder would fail the connection) or a response would reach the
 // wrong waiter. Every submission must come back exactly once with a
 // coherent outcome, and the server must account for every result.
@@ -32,7 +32,7 @@ func TestPoolingIntegrityUnderConcurrency(t *testing.T) {
 		go func(ci int) {
 			defer wg.Done()
 			reqs := genRequests(t, ycsb, perConn, int64(ci+1))
-			conn, err := client.Dial(s.Addr())
+			conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 			if err != nil {
 				t.Error(err)
 				return

@@ -41,7 +41,7 @@ func TestServerReplicatesAndFailsOver(t *testing.T) {
 		c.Durability = &DurabilityOptions{Dir: primary, NoSync: true, Replication: ship}
 	})
 
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestServerReplicatesAndFailsOver(t *testing.T) {
 	if s2.replicaEpoch != 1 {
 		t.Fatalf("promoted epoch %d, want 1", s2.replicaEpoch)
 	}
-	conn2, err := client.Dial(s2.Addr())
+	conn2, err := client.DialPipelined(s2.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

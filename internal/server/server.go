@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -169,11 +168,9 @@ type Stats struct {
 	QueueCap   int    `json:"queue_cap"`
 	Draining   bool   `json:"draining"`
 
-	// Wire protocol negotiation: connections served over the binary
-	// frame protocol vs the NDJSON fallback (lifetime totals, not
-	// currently-open counts).
+	// ConnsBinary counts connections that completed the preamble
+	// handshake (a lifetime total, not a currently-open count).
 	ConnsBinary uint64 `json:"conns_binary"`
-	ConnsNDJSON uint64 `json:"conns_ndjson"`
 
 	// Bundling.
 	Bundles         int     `json:"bundles"`
@@ -323,11 +320,6 @@ type Server struct {
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
-
-	// ndjsonOnce limits the protocol-downgrade warning to one line per
-	// server: NDJSON is a supported fallback, not an error, so one
-	// notice suffices.
-	ndjsonOnce sync.Once
 
 	start time.Time
 
@@ -554,14 +546,13 @@ func (s *Server) acceptLoop() {
 
 // connWriter serializes responses onto one connection. Sends come
 // from both the reader (rejections, parse errors) and the bundler
-// (outcomes). Responses are encoded into per-connection scratch
-// buffers (no per-send allocation) and written through a bufio.Writer:
-// reader-path sends flush immediately, bundle outcomes stay buffered
-// until the bundler's per-bundle flush so a bundle costs one syscall
-// per connection instead of one per transaction. On a binary
-// connection the buffered outcomes additionally coalesce into one
-// BinFrameResponses frame per flush, so a pipelined client decodes a
-// whole bundle's outcomes from one read. The first write error latches
+// (outcomes). Responses are encoded into a per-connection batch (no
+// per-send allocation) and written through a bufio.Writer: reader-path
+// sends flush immediately, bundle outcomes stay buffered until the
+// bundler's per-bundle flush, so a bundle costs one syscall and one
+// BinFrameResponses frame per connection instead of one per
+// transaction, and a pipelined client decodes a whole bundle's
+// outcomes from one read. The first write error latches
 // the writer dead: a TCP write to a gone peer can block for the whole
 // kernel timeout, so retrying a dead connection once per outcome would
 // stall the bundler — instead every later send is skipped immediately
@@ -569,12 +560,11 @@ func (s *Server) acceptLoop() {
 type connWriter struct {
 	mu   sync.Mutex
 	bw   *bufio.Writer
-	buf  []byte // encode scratch, owned by mu
+	hdr  []byte // frame-header scratch, owned by mu
 	dead bool
 
-	// Binary protocol state. batch accumulates encoded response bodies
-	// for the next BinFrameResponses frame; batchN counts them.
-	binary bool
+	// batch accumulates encoded response bodies for the next
+	// BinFrameResponses frame; batchN counts them.
 	batch  []byte
 	batchN uint32
 }
@@ -585,14 +575,6 @@ const maxRespBatchBytes = 1 << 20
 
 func newConnWriter(w io.Writer) *connWriter {
 	return &connWriter{bw: bufio.NewWriterSize(w, 16<<10)}
-}
-
-// setBinary switches the writer to the binary frame protocol. Called
-// once, after negotiation and before any send on the connection.
-func (cw *connWriter) setBinary() {
-	cw.mu.Lock()
-	cw.binary = true
-	cw.mu.Unlock()
 }
 
 // send encodes resp onto the connection and flushes, reporting whether
@@ -616,30 +598,16 @@ func (cw *connWriter) write(resp *client.Response, flush bool) bool {
 	if cw.dead {
 		return false
 	}
-	if cw.binary {
-		cw.batch = client.AppendResponseBody(cw.batch, resp)
-		cw.batchN++
-		if flush || len(cw.batch) >= maxRespBatchBytes {
-			return cw.flushLocked()
-		}
-		return true
-	}
-	cw.buf = client.AppendResponse(cw.buf[:0], resp)
-	if _, err := cw.bw.Write(cw.buf); err != nil {
-		cw.dead = true
-		return false
-	}
-	if flush {
-		if err := cw.bw.Flush(); err != nil {
-			cw.dead = true
-			return false
-		}
+	cw.batch = client.AppendResponseBody(cw.batch, resp)
+	cw.batchN++
+	if flush || len(cw.batch) >= maxRespBatchBytes {
+		return cw.flushLocked()
 	}
 	return true
 }
 
-// flush pushes any buffered responses to the socket (on a binary
-// connection: assembles the pending bodies into one frame first).
+// flush assembles any pending response bodies into one frame and
+// pushes it to the socket.
 func (cw *connWriter) flush() {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
@@ -649,15 +617,12 @@ func (cw *connWriter) flush() {
 	cw.flushLocked()
 }
 
-// flushLocked emits the pending binary frame, if any, and flushes the
+// flushLocked emits the pending frame, if any, and flushes the
 // buffered writer. Caller holds cw.mu.
 func (cw *connWriter) flushLocked() bool {
 	if cw.batchN > 0 {
-		var hdr [9]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(1+4+len(cw.batch)))
-		hdr[4] = client.BinFrameResponses
-		binary.LittleEndian.PutUint32(hdr[5:], cw.batchN)
-		_, err := cw.bw.Write(hdr[:])
+		cw.hdr = client.AppendResponsesHeader(cw.hdr[:0], cw.batchN, len(cw.batch))
+		_, err := cw.bw.Write(cw.hdr)
 		if err == nil {
 			_, err = cw.bw.Write(cw.batch)
 		}
@@ -677,10 +642,13 @@ func (cw *connWriter) flushLocked() bool {
 	return true
 }
 
-// serveConn negotiates the wire protocol by sniffing the first byte —
-// a binary client opens with the preamble, whose first byte cannot
-// begin a JSON value — and hands the connection to the matching serve
-// loop.
+// serveConn checks the preamble, acks it, and serves length-prefixed
+// request frames. A connection that opens with anything but the
+// preamble is counted malformed and closed before anything is
+// admitted. Frame decode errors are answered per request (the length
+// prefix delimits them safely); header corruption — a bad length or
+// frame type — kills the connection, since the stream can no longer be
+// trusted.
 func (s *Server) serveConn(nc net.Conn) {
 	defer func() {
 		nc.Close()
@@ -688,70 +656,10 @@ func (s *Server) serveConn(nc net.Conn) {
 		delete(s.conns, nc)
 		s.connMu.Unlock()
 	}()
-	cw := newConnWriter(nc)
 	br := bufio.NewReaderSize(nc, 64<<10)
-	first, err := br.Peek(1)
-	if err != nil {
-		return // closed before the first byte
-	}
-	if first[0] == client.BinPreamble[0] {
-		s.serveBinary(nc, br, cw)
-		return
-	}
-	s.count(func(st *Stats) { st.ConnsNDJSON++ })
-	s.ndjsonOnce.Do(func() {
-		log.Printf("tskd-serve: accepted NDJSON fallback client (binary wire protocol available; pass -wire binary to the client)")
-	})
-	s.serveNDJSON(br, cw)
-}
-
-// serveNDJSON reads request lines, parses them, and admits them — the
-// fallback protocol, byte-compatible with every earlier client.
-func (s *Server) serveNDJSON(br *bufio.Reader, cw *connWriter) {
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	dec := client.NewRequestDecoder(0)
-	var req client.Request // reused across lines; Params copied below
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if err := dec.Decode(line, &req); err != nil {
-			s.count(func(st *Stats) { st.Malformed++ })
-			cw.send(client.Response{Status: client.StatusError, Error: "bad envelope: " + err.Error()})
-			continue
-		}
-		if s.rt != nil {
-			s.serveSharded(&req, cw)
-			continue
-		}
-		p := getPending()
-		if err := txn.ParseInto(p.t, 0, req.Ops); err != nil {
-			putPending(p)
-			s.count(func(st *Stats) { st.Malformed++ })
-			cw.send(client.Response{Seq: req.Seq, Status: client.StatusError, Error: err.Error()})
-			continue
-		}
-		p.t.Template = req.Template
-		// Copied, not handed off: the pooled transaction and the decode
-		// scratch each keep their backing arrays, so the steady state
-		// allocates neither.
-		p.t.Params = append(p.t.Params[:0], req.Params...)
-		p.t.IdemKey = req.IdemKey
-		s.admitDecoded(&req, p, cw)
-	}
-}
-
-// serveBinary validates the preamble, acks it, and serves length-
-// prefixed request frames. Frame decode errors are answered per
-// request (the length prefix delimits them safely); header corruption
-// — a bad length or frame type — kills the connection, since the
-// stream can no longer be trusted.
-func (s *Server) serveBinary(nc net.Conn, br *bufio.Reader, cw *connWriter) {
 	var pre [len(client.BinPreamble)]byte
 	if _, err := io.ReadFull(br, pre[:]); err != nil {
-		return
+		return // closed before a whole preamble
 	}
 	if string(pre[:]) != client.BinPreamble {
 		s.count(func(st *Stats) { st.Malformed++ })
@@ -763,7 +671,7 @@ func (s *Server) serveBinary(nc net.Conn, br *bufio.Reader, cw *connWriter) {
 	if _, err := nc.Write(pre[:]); err != nil {
 		return
 	}
-	cw.setBinary()
+	cw := newConnWriter(nc)
 	s.count(func(st *Stats) { st.ConnsBinary++ })
 	in := client.NewInterner(0)
 	var hdr [4]byte
@@ -793,15 +701,14 @@ func (s *Server) serveBinary(nc net.Conn, br *bufio.Reader, cw *connWriter) {
 		}
 		if s.rt != nil {
 			// Sharded mode: the runtime owns each transaction until its
-			// response callback has run, so no pooling here (matching
-			// the NDJSON sharded path).
+			// response callback has run, so no pooling here.
 			t := &txn.Transaction{}
 			if err := client.DecodeRequestFrame(payload, &req, t, in); err != nil {
 				s.count(func(st *Stats) { st.Malformed++ })
 				cw.send(client.Response{Seq: req.Seq, Status: client.StatusError, Error: err.Error()})
 				continue
 			}
-			s.serveShardedParsed(&req, t, cw)
+			s.serveSharded(&req, t, cw)
 			continue
 		}
 		p := getPending()
@@ -834,9 +741,9 @@ func (s *Server) checkLease(seq uint64, cw *connWriter) bool {
 	return false
 }
 
-// admitDecoded runs the admission tail shared by both protocols for a
-// request whose transaction p.t is fully populated: lease gate,
-// idempotency window, overload gate, bounded admission.
+// admitDecoded runs the admission tail for a request whose
+// transaction p.t is fully populated: lease gate, idempotency window,
+// overload gate, bounded admission.
 func (s *Server) admitDecoded(req *client.Request, p *pending, cw *connWriter) {
 	if !s.checkLease(req.Seq, cw) {
 		putPending(p)

@@ -64,29 +64,11 @@ func (s *Server) ShardRecovery() shard.RecoveryInfo {
 	return s.rt.Recovery()
 }
 
-// serveSharded handles one decoded request in sharded mode: parse,
-// stamp the deadline, and hand the transaction to the runtime, which
-// answers asynchronously through the connection writer. Transactions
-// are not pooled here — the runtime owns each one until its response
-// callback has run, and the sharded hot path favors simplicity.
-func (s *Server) serveSharded(req *client.Request, cw *connWriter) {
-	t := &txn.Transaction{}
-	if err := txn.ParseInto(t, 0, req.Ops); err != nil {
-		s.count(func(st *Stats) { st.Malformed++ })
-		cw.send(client.Response{Seq: req.Seq, Status: client.StatusError, Error: err.Error()})
-		return
-	}
-	t.Template = req.Template
-	t.Params = req.Params
-	req.Params = nil // the transaction owns the backing array now
-	t.IdemKey = req.IdemKey
-	s.serveShardedParsed(req, t, cw)
-}
-
-// serveShardedParsed stamps the deadline and hands an already-parsed
-// transaction to the runtime — the tail shared by the NDJSON path
-// above and the binary frame path, which decodes straight into t.
-func (s *Server) serveShardedParsed(req *client.Request, t *txn.Transaction, cw *connWriter) {
+// serveSharded stamps the deadline and hands a decoded
+// transaction to the runtime, which answers asynchronously through the
+// connection writer. Transactions are not pooled here — the runtime
+// owns each one until its response callback has run.
+func (s *Server) serveSharded(req *client.Request, t *txn.Transaction, cw *connWriter) {
 	if !s.checkLease(req.Seq, cw) {
 		return
 	}

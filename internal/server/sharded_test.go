@@ -72,7 +72,7 @@ func genShardedRequests(t *testing.T, ycsb workload.YCSB, shards, n int, crossFr
 // submitUntilCommitted drives one request closed-loop, retrying
 // rejected responses (2PC vote-no under contention surfaces as
 // Rejected with a retry hint) until it commits.
-func submitUntilCommitted(t *testing.T, conn *client.Conn, req client.Request) {
+func submitUntilCommitted(t *testing.T, conn *client.PipelinedConn, req client.Request) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -117,7 +117,7 @@ func TestShardedEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			conn, err := client.Dial(s.Addr())
+			conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -204,7 +204,7 @@ func TestShardedDeadlineExpiresAtBundleFormation(t *testing.T) {
 	s, ycsb := startSharded(t, 2, func(c *Config) { c.FlushInterval = 50 * time.Millisecond })
 	defer s.Shutdown(context.Background())
 
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestShardedDurableRestart(t *testing.T) {
 	}
 	s, ycsb := startSharded(t, shards, durable)
 
-	conn, err := client.Dial(s.Addr())
+	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestShardedDurableRestart(t *testing.T) {
 		t.Errorf("recovered %d boot records, want 1", info.Boots)
 	}
 
-	conn2, err := client.Dial(s2.Addr())
+	conn2, err := client.DialPipelined(s2.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
