@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tskd/internal/history"
@@ -14,6 +15,7 @@ import (
 // determinism contract the CLI's -check-repro enforces over 20 seeds in
 // CI).
 func TestScenariosPassAndReplay(t *testing.T) {
+	concurrentProcs(t, maxPlanWorkers)
 	for _, sc := range Scenarios() {
 		for _, seed := range []int64{3, 11} {
 			r1 := sc.Run(seed)
@@ -25,6 +27,20 @@ func TestScenariosPassAndReplay(t *testing.T) {
 				t.Errorf("%s seed %d: verdict not reproducible:\n  %+v\n  %+v", sc.Name, seed, r1, r2)
 			}
 		}
+	}
+}
+
+// maxPlanWorkers is the largest engine worker count a plan draws.
+const maxPlanWorkers = 8
+
+// concurrentProcs raises GOMAXPROCS to at least n until the test ends.
+// The engine runs the scenarios' operations without yielding, so on a
+// host with fewer CPUs than workers only OS threads, one per P,
+// interleave the workers mid-transaction.
+func concurrentProcs(t *testing.T, n int) {
+	if old := runtime.GOMAXPROCS(0); old < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	}
 }
 

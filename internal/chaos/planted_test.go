@@ -15,6 +15,7 @@ func TestPlantedBug(t *testing.T) {
 	if sc == nil {
 		t.Fatal("planted-bug scenario not registered under -tags chaosbug")
 	}
+	concurrentProcs(t, maxPlanWorkers)
 	for seed := int64(1); seed <= 5; seed++ {
 		r := sc.Run(seed)
 		if r.Pass {

@@ -2,6 +2,7 @@ package deferment
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -269,6 +270,19 @@ func TestMaskWriteSets(t *testing.T) {
 	full := MaskWriteSets(w, 1.0, 1)
 	if len(full[0]) != 4 || len(full[1]) != 1 || len(full[2]) != 0 {
 		t.Errorf("alpha=1 sizes wrong: %d %d %d", len(full[0]), len(full[1]), len(full[2]))
+	}
+	// alpha=1 is each transaction's exact write set, whatever the seed,
+	// and costs only the output slice: no RNG is seeded for it.
+	for _, seed := range []int64{1, 2} {
+		got := MaskWriteSets(w, 1.0, seed)
+		for _, tx := range w {
+			if !slices.Equal(got[tx.ID], tx.WriteSet()) {
+				t.Errorf("alpha=1 seed %d txn %d: %v, want %v", seed, tx.ID, got[tx.ID], tx.WriteSet())
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { MaskWriteSets(w, 1.0, 1) }); a > 1 {
+		t.Errorf("alpha=1 allocates %.1f times per call, want <= 1 (the output slice)", a)
 	}
 	half := MaskWriteSets(w, 0.5, 1)
 	if len(half[0]) != 2 {

@@ -168,18 +168,21 @@ func MaskWriteSets(w txn.Workload, alpha float64, seed int64) [][]txn.Key {
 	if alpha > 1 {
 		alpha = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
 	out := make([][]txn.Key, w.MaxID()+1)
+	if alpha == 1 {
+		// Exact sets (the common production setting): share each
+		// transaction's own sorted write set instead of copying and
+		// re-sorting it. The tracker treats predicted sets as
+		// read-only, so aliasing is safe. No RNG: seeding one costs
+		// more than a small bundle's whole mask.
+		for _, t := range w {
+			out[t.ID] = t.WriteSet()
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(seed))
 	for _, t := range w {
 		ws := t.WriteSet()
-		if alpha == 1 {
-			// Exact sets (the common production setting): share the
-			// transaction's own sorted write set instead of copying and
-			// re-sorting it. The tracker treats predicted sets as
-			// read-only, so aliasing is safe.
-			out[t.ID] = ws
-			continue
-		}
 		n := int(float64(len(ws))*alpha + 0.9999)
 		if n > len(ws) {
 			n = len(ws)

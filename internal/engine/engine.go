@@ -110,7 +110,8 @@ type Config struct {
 	// DB is the database; required.
 	DB *storage.DB
 	// OpTime is the simulated per-operation work (busy-wait). Zero
-	// runs operations at raw speed.
+	// runs operations at raw speed, back to back: a worker yields only
+	// while it waits (dependencies, retry backoff, latches).
 	OpTime time.Duration
 	// Defer enables TsDEFER when non-nil.
 	Defer *DeferConfig
@@ -868,10 +869,6 @@ func (wk *worker) runOps(t *txn.Transaction) error {
 		wk.opsRun++
 		if wk.cfg.OpTime > 0 {
 			clock.Spin(wk.cfg.OpTime)
-		} else {
-			// Even at raw speed, yield between operations so workers
-			// interleave on hosts with fewer cores than workers.
-			runtime.Gosched()
 		}
 	}
 	return nil
@@ -902,8 +899,6 @@ func (wk *worker) runScan(t *txn.Transaction, op txn.Op) error {
 		wk.opsRun++
 		if wk.cfg.OpTime > 0 {
 			clock.Spin(wk.cfg.OpTime)
-		} else {
-			runtime.Gosched()
 		}
 	}
 	return nil

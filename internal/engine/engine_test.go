@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -17,7 +18,19 @@ func ycsbBundle(seed int64, txns int) (*storage.DB, txn.Workload) {
 	return c.BuildDB(), c.Generate()
 }
 
+// concurrentProcs raises GOMAXPROCS to at least n until the test ends.
+// At OpTime == 0 a worker runs its operations without yielding, so on a
+// host with fewer CPUs than workers only OS threads, one per P,
+// interleave the workers mid-transaction.
+func concurrentProcs(t *testing.T, n int) {
+	if old := runtime.GOMAXPROCS(0); old < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
+}
+
 func TestRunCommitsAllUnderEveryProtocol(t *testing.T) {
+	concurrentProcs(t, 4)
 	for _, name := range cc.Names() {
 		t.Run(name, func(t *testing.T) {
 			db, w := ycsbBundle(1, 400)
@@ -70,6 +83,43 @@ func TestRetriesCountedUnderContention(t *testing.T) {
 	}
 	if m.RetryPer100k() <= 0 {
 		t.Error("RetryPer100k not positive")
+	}
+}
+
+// TestRawSpeedHotKey runs 8 workers at OpTime == 0 on one hot row
+// under the optimistic protocols: every read-modify-write must commit
+// once, none may be lost, and the history must be serializable.
+func TestRawSpeedHotKey(t *testing.T) {
+	const workers, n = 8, 8000
+	concurrentProcs(t, workers)
+	for _, name := range []string{"OCC", "SILO", "TICTOC"} {
+		t.Run(name, func(t *testing.T) {
+			db := storage.NewDB()
+			tbl := db.CreateTable(0, "hot", 1)
+			tbl.Insert(0)
+			w := make(txn.Workload, n)
+			for i := range w {
+				w[i] = txn.New(i).R(txn.MakeKey(0, 0)).U(txn.MakeKey(0, 0), 1)
+			}
+			proto, err := cc.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := history.NewRecorder()
+			m := Run(w, []Phase{SpreadRoundRobin(w, workers)}, Config{
+				Workers: workers, Protocol: proto, DB: db, Recorder: rec, Seed: 5,
+			})
+			if m.Committed != n || rec.Len() != n {
+				t.Fatalf("committed %d, recorded %d, want %d", m.Committed, rec.Len(), n)
+			}
+			if got := tbl.Get(0).Field(0); got != n {
+				t.Fatalf("hot counter = %d, want %d (lost updates)", got, n)
+			}
+			if err := rec.Check(); err != nil {
+				t.Fatalf("execution not serializable: %v", err)
+			}
+			t.Logf("%d retries", m.Retries)
+		})
 	}
 }
 

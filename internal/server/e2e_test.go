@@ -396,6 +396,12 @@ func requestFrame(t *testing.T, req client.Request) []byte {
 // readResponse reads one response frame and returns its first body.
 func readResponse(t *testing.T, nc net.Conn, br *bufio.Reader) client.Response {
 	t.Helper()
+	return readResponses(t, nc, br)[0]
+}
+
+// readResponses reads one response frame and returns every body in it.
+func readResponses(t *testing.T, nc net.Conn, br *bufio.Reader) []client.Response {
+	t.Helper()
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	defer nc.SetReadDeadline(time.Time{})
 	var hdr [4]byte
@@ -409,11 +415,22 @@ func readResponse(t *testing.T, nc net.Conn, br *bufio.Reader) client.Response {
 	if len(payload) < 5 || payload[0] != client.BinFrameResponses {
 		t.Fatalf("not a response frame: %x", payload)
 	}
-	var resp client.Response
-	if _, err := client.DecodeResponseBody(payload[5:], &resp); err != nil {
-		t.Fatal(err)
+	n := binary.LittleEndian.Uint32(payload[1:5])
+	if n == 0 {
+		t.Fatal("response frame with no bodies")
 	}
-	return resp
+	resps := make([]client.Response, n)
+	rest := payload[5:]
+	for i := range resps {
+		var err error
+		if rest, err = client.DecodeResponseBody(rest, &resps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes left after %d response bodies", len(rest), n)
+	}
+	return resps
 }
 
 // expectClosed reads until the server closes the connection, failing

@@ -700,8 +700,8 @@ func (s *Server) serveConn(nc net.Conn) {
 			return
 		}
 		if s.rt != nil {
-			// Sharded mode: the runtime owns each transaction until its
-			// response callback has run, so no pooling here.
+			// Sharded mode: the runtime owns each transaction until it
+			// has been answered, so no pooling here.
 			t := &txn.Transaction{}
 			if err := client.DecodeRequestFrame(payload, &req, t, in); err != nil {
 				s.count(func(st *Stats) { st.Malformed++ })

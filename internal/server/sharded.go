@@ -67,7 +67,7 @@ func (s *Server) ShardRecovery() shard.RecoveryInfo {
 // serveSharded stamps the deadline and hands a decoded
 // transaction to the runtime, which answers asynchronously through the
 // connection writer. Transactions are not pooled here — the runtime
-// owns each one until its response callback has run.
+// owns each one until it has been answered.
 func (s *Server) serveSharded(req *client.Request, t *txn.Transaction, cw *connWriter) {
 	if !s.checkLease(req.Seq, cw) {
 		return
@@ -84,18 +84,31 @@ func (s *Server) serveSharded(req *client.Request, t *txn.Transaction, cw *connW
 	case s.cfg.Overload.DefaultDeadline > 0:
 		t.Deadline = now.Add(s.cfg.Overload.DefaultDeadline)
 	}
-	seq := req.Seq
-	s.rt.Submit(t, func(resp client.Response) {
-		resp.Seq = seq
-		// Count before sending, as the unsharded server does: a client
-		// that has its response must find it in Stats. Whether it was
-		// delivered is only known afterwards.
-		s.count(func(st *Stats) { st.ResultsStreamed++ })
-		if !cw.send(resp) {
-			s.count(func(st *Stats) { st.Forfeited++ })
-		}
-	})
+	s.rt.SubmitTo(t, &shardReply{s: s, seq: req.Seq, cw: cw})
 }
+
+// shardReply answers one sharded transaction on its connection. Reply
+// only buffers the response: a shard unit flushes once per bundle, as
+// the unsharded bundler does, and every other answer is flushed at
+// once (see shard.Replier).
+type shardReply struct {
+	s   *Server
+	seq uint64
+	cw  *connWriter
+}
+
+func (r *shardReply) Reply(resp client.Response) {
+	resp.Seq = r.seq
+	// Count before sending, as the unsharded server does: a client
+	// that has its response must find it in Stats. Whether it was
+	// delivered is only known afterwards.
+	r.s.count(func(st *Stats) { st.ResultsStreamed++ })
+	if !r.cw.sendBuffered(&resp) {
+		r.s.count(func(st *Stats) { st.Forfeited++ })
+	}
+}
+
+func (r *shardReply) Flush() { r.cw.flush() }
 
 // mergeShardStats rolls the runtime's counters up into the flat Stats
 // so dashboards keyed on the single-shard fields keep working, and

@@ -227,6 +227,80 @@ func TestShardedDeadlineExpiresAtBundleFormation(t *testing.T) {
 	}
 }
 
+// TestShardedBundleAnswersCoalesce writes a bundle's worth of
+// single-shard requests to one shard in one write on a raw socket: the
+// unit answers the bundle with buffered replies and one flush, so at
+// least one response frame carries more than one body, and every seq
+// is answered exactly once. A cross-shard request, answered by its 2PC
+// coordinator, is flushed at once: it does not wait for a unit bundle.
+func TestShardedBundleAnswersCoalesce(t *testing.T) {
+	const n = 16
+	const flushEvery = 5 * time.Second // only a full bundle runs
+	s, _ := startSharded(t, 4, func(c *Config) {
+		c.Bundle = n
+		c.FlushInterval = flushEvery
+	})
+	defer s.Shutdown(context.Background())
+	router := s.Runtime().Router()
+	var onShard [2][]txn.Key
+	for row := uint64(0); len(onShard[0]) < n+1 || len(onShard[1]) < 1; row++ {
+		k := txn.MakeKey(workload.YCSBTable, row)
+		if h := router.Home(k); h < 2 {
+			onShard[h] = append(onShard[h], k)
+		}
+	}
+	frame := func(seq uint64, tx *txn.Transaction) []byte {
+		req, err := client.NewRequest(seq, tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return requestFrame(t, req)
+	}
+
+	nc, br := rawConn(t, s.Addr())
+	var burst []byte
+	for i := 0; i < n; i++ {
+		burst = append(burst, frame(uint64(i+1), txn.New(0).U(onShard[0][i], 1))...)
+	}
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	answered := map[uint64]int{}
+	maxBodies := 0
+	for got := 0; got < n; {
+		resps := readResponses(t, nc, br)
+		maxBodies = max(maxBodies, len(resps))
+		for _, r := range resps {
+			if !r.Committed() {
+				t.Fatalf("seq %d: %+v", r.Seq, r)
+			}
+			answered[r.Seq]++
+		}
+		got += len(resps)
+	}
+	for seq := uint64(1); seq <= n; seq++ {
+		if answered[seq] != 1 {
+			t.Errorf("seq %d answered %d times", seq, answered[seq])
+		}
+	}
+	if maxBodies < 2 {
+		t.Errorf("every response frame carried one body: the bundle was not coalesced")
+	}
+
+	cross := txn.New(0).U(onShard[0][n], 1).U(onShard[1][0], 1)
+	start := time.Now()
+	if _, err := nc.Write(frame(n+1, cross)); err != nil {
+		t.Fatal(err)
+	}
+	resps := readResponses(t, nc, br)
+	if len(resps) != 1 || resps[0].Seq != n+1 || !resps[0].Committed() {
+		t.Fatalf("cross-shard answer: %+v", resps)
+	}
+	if wait := time.Since(start); wait >= flushEvery/2 {
+		t.Errorf("cross-shard answer took %v: it waited for a unit bundle", wait)
+	}
+}
+
 // TestShardedStatsRollUpDefers pipelines hot single-shard traffic into
 // a 2-shard server, so every unit's bundles hold transactions that
 // contend and TsDEFER fires, and checks that the per-shard defer

@@ -335,14 +335,46 @@ func (rt *Runtime) DB(i int) *storage.DB { return rt.units[i].db }
 // Router returns the runtime's key-ownership router.
 func (rt *Runtime) Router() Router { return rt.router }
 
+// Replier receives a submitted transaction's outcome. Reply is called
+// exactly once (Seq left zero: the caller stamps its own) and may
+// buffer; the runtime calls Flush after it. Answers given outside a
+// bundle — dedup hits, rejections, 2PC outcomes — are flushed at once.
+// A shard unit replies to a whole bundle first and then flushes each
+// transaction's Replier, so a connection with several transactions in
+// the bundle is written once; Flush must therefore be cheap when there
+// is nothing left to push. Reply may run synchronously inside Submit
+// or later from a shard or coordinator goroutine; it must not block
+// for long.
+type Replier interface {
+	Reply(client.Response)
+	Flush()
+}
+
+// replyFunc adapts a callback to Replier: Reply calls it, Flush does
+// nothing.
+type replyFunc func(client.Response)
+
+func (f replyFunc) Reply(resp client.Response) { f(resp) }
+func (replyFunc) Flush()                       {}
+
+// answer replies and flushes at once: the path for every answer that is
+// not part of a unit bundle.
+func answer(r Replier, resp client.Response) {
+	r.Reply(resp)
+	r.Flush()
+}
+
 // Submit routes t by key ownership and eventually calls done exactly
-// once with the outcome (Seq left zero: the caller stamps its own).
-// done may run synchronously — dedup hits and rejections answer
-// inline — or later from a shard or coordinator goroutine; it must not
-// block for long.
+// once with the outcome; see Replier for when and where.
 func (rt *Runtime) Submit(t *txn.Transaction, done func(client.Response)) {
+	rt.SubmitTo(t, replyFunc(done))
+}
+
+// SubmitTo is Submit with a Replier, for callers that buffer replies
+// and push them once per bundle.
+func (rt *Runtime) SubmitTo(t *txn.Transaction, r Replier) {
 	if t.HasScan() && rt.cfg.Shards > 1 {
-		done(client.Response{Status: client.StatusError,
+		answer(r, client.Response{Status: client.StatusError,
 			Error: "range scans are not supported on a sharded runtime"})
 		return
 	}
@@ -352,27 +384,27 @@ func (rt *Runtime) Submit(t *txn.Transaction, done func(client.Response)) {
 		if mask != 0 {
 			home = bits.TrailingZeros64(mask)
 		}
-		rt.submitLocal(rt.units[home], t, done)
+		rt.submitLocal(rt.units[home], t, r)
 		return
 	}
-	rt.submitCross(t, done)
+	rt.submitCross(t, r)
 }
 
-func (rt *Runtime) submitLocal(u *unit, t *txn.Transaction, done func(client.Response)) {
+func (rt *Runtime) submitLocal(u *unit, t *txn.Transaction, r Replier) {
 	if t.IdemKey != 0 {
 		switch state, cached := u.dedup.Begin(t.IdemKey); state {
 		case durable.Hit:
 			cached.Duplicate = true
 			u.count(func(s *ShardStats) { s.DedupHits++ })
-			done(cached)
+			answer(r, cached)
 			return
 		case durable.Inflight:
 			u.count(func(s *ShardStats) { s.DedupInflight++ })
-			done(client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(u)})
+			answer(r, client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(u)})
 			return
 		}
 	}
-	tk := &task{t: t, done: done, enqueued: time.Now()}
+	tk := &task{t: t, r: r, enqueued: time.Now()}
 	rt.admitMu.RLock()
 	admitted := false
 	if !rt.draining {
@@ -391,20 +423,20 @@ func (rt *Runtime) submitLocal(u *unit, t *txn.Transaction, done func(client.Res
 		u.dedup.Release(t.IdemKey)
 	}
 	u.count(func(s *ShardStats) { s.Rejected++ })
-	done(client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(u)})
+	answer(r, client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(u)})
 }
 
-func (rt *Runtime) submitCross(t *txn.Transaction, done func(client.Response)) {
+func (rt *Runtime) submitCross(t *txn.Transaction, r Replier) {
 	if t.IdemKey != 0 {
 		switch state, cached := rt.coordDedup.Begin(t.IdemKey); state {
 		case durable.Hit:
 			cached.Duplicate = true
 			rt.countTPC(func(s *TwoPCStats) { s.DedupHits++ })
-			done(cached)
+			answer(r, cached)
 			return
 		case durable.Inflight:
 			rt.countTPC(func(s *TwoPCStats) { s.DedupInflight++ })
-			done(client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(nil)})
+			answer(r, client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(nil)})
 			return
 		}
 	}
@@ -414,7 +446,7 @@ func (rt *Runtime) submitCross(t *txn.Transaction, done func(client.Response)) {
 			rt.coordDedup.Release(t.IdemKey)
 		}
 		rt.countTPC(func(s *TwoPCStats) { s.Started++; s.Aborted++ })
-		done(client.Response{Status: client.StatusExpired})
+		answer(r, client.Response{Status: client.StatusExpired})
 		return
 	}
 	rt.admitMu.RLock()
@@ -433,7 +465,7 @@ func (rt *Runtime) submitCross(t *txn.Transaction, done func(client.Response)) {
 			rt.coordDedup.Release(t.IdemKey)
 		}
 		rt.countTPC(func(s *TwoPCStats) { s.Rejected++ })
-		done(client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(nil)})
+		answer(r, client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(nil)})
 		return
 	}
 	// Arrival order in the hold table is Submit order: queue on the
@@ -443,7 +475,7 @@ func (rt *Runtime) submitCross(t *txn.Transaction, done func(client.Response)) {
 	if !rt.hold.enqueue(h) {
 		queued = time.Now()
 	}
-	go rt.runTwoPC(t, h, queued, done)
+	go rt.runTwoPC(t, h, queued, r)
 }
 
 // runTwoPC is one coordinator. h is the transaction's place in the hold
@@ -458,7 +490,7 @@ func (rt *Runtime) submitCross(t *txn.Transaction, done func(client.Response)) {
 // overlapping prepares only when something else went wrong; their
 // wait-free vote-no stays as the safety net for that, and for missing
 // rows, log failures and timeouts.
-func (rt *Runtime) runTwoPC(t *txn.Transaction, h *holder, queued time.Time, done func(client.Response)) {
+func (rt *Runtime) runTwoPC(t *txn.Transaction, h *holder, queued time.Time, r Replier) {
 	defer func() { <-rt.crossSem; rt.crossWG.Done() }()
 	finish := func(resp client.Response) {
 		if t.IdemKey != 0 {
@@ -468,7 +500,7 @@ func (rt *Runtime) runTwoPC(t *txn.Transaction, h *holder, queued time.Time, don
 				rt.coordDedup.Release(t.IdemKey)
 			}
 		}
-		done(resp)
+		answer(r, resp)
 	}
 
 	dispatched, waited := true, !queued.IsZero()

@@ -125,6 +125,78 @@ func TestRuntimeSingleShardCommits(t *testing.T) {
 	}
 }
 
+// replyLog records every Reply and Flush made on its repliers, in call
+// order.
+type replyLog struct {
+	mu     sync.Mutex
+	events []replyEvent
+}
+
+type replyEvent struct {
+	id    int
+	flush bool
+}
+
+type loggedReplier struct {
+	log *replyLog
+	id  int
+}
+
+func (r loggedReplier) add(flush bool) {
+	r.log.mu.Lock()
+	r.log.events = append(r.log.events, replyEvent{r.id, flush})
+	r.log.mu.Unlock()
+}
+
+func (r loggedReplier) Reply(client.Response) { r.add(false) }
+func (r loggedReplier) Flush()                { r.add(true) }
+
+// TestUnitRepliesToBundleThenFlushes checks the unit's answer order: a
+// full bundle's transactions are all replied to before the first flush,
+// and each replier is replied to and flushed exactly once.
+func TestUnitRepliesToBundleThenFlushes(t *testing.T) {
+	const n = 16
+	rt, err := Open(Config{
+		Shards: 2, DB: ycsbBase,
+		Bundle: n, FlushInterval: 10 * time.Second, QueueDepth: 64, // only a full bundle runs
+		Core: core.Options{Workers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, rt)
+	log := &replyLog{}
+	row := uint64(0)
+	for i := 0; i < n; i++ {
+		k := keyOn(rt.Router(), 0, row)
+		row = k.Row() + 1
+		rt.SubmitTo(txn.New(0).U(k, 1), loggedReplier{log: log, id: i})
+	}
+	waitFor(t, "the bundle's flushes", func() bool {
+		log.mu.Lock()
+		defer log.mu.Unlock()
+		return len(log.events) >= 2*n
+	})
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	var replies, flushes [n]int
+	for i, ev := range log.events {
+		if ev.flush != (i >= n) {
+			t.Fatalf("event %d (replier %d, flush %v) out of order: %v", i, ev.id, ev.flush, log.events)
+		}
+		if ev.flush {
+			flushes[ev.id]++
+		} else {
+			replies[ev.id]++
+		}
+	}
+	for id := range replies {
+		if replies[id] != 1 || flushes[id] != 1 {
+			t.Errorf("replier %d: %d replies, %d flushes", id, replies[id], flushes[id])
+		}
+	}
+}
+
 func TestRuntimeCrossShardCommit(t *testing.T) {
 	rt := openTest(t, 2, nil)
 	defer shutdown(t, rt)

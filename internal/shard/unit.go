@@ -69,7 +69,7 @@ type ShardStats struct {
 // task is one admitted single-shard transaction awaiting its bundle.
 type task struct {
 	t        *txn.Transaction
-	done     func(client.Response)
+	r        Replier
 	enqueued time.Time
 }
 
@@ -244,7 +244,7 @@ func (u *unit) finalDrain() {
 				if tk.t.IdemKey != 0 {
 					u.dedup.Release(tk.t.IdemKey)
 				}
-				tk.done(client.Response{Status: client.StatusCanceled})
+				answer(tk.r, client.Response{Status: client.StatusCanceled})
 			}
 			u.parked = nil
 			u.maybeCheckpoint()
@@ -326,7 +326,7 @@ func (u *unit) runBundle(batch []*task) {
 			if tk.t.IdemKey != 0 {
 				u.dedup.Release(tk.t.IdemKey)
 			}
-			tk.done(client.Response{Status: client.StatusError, Error: err.Error()})
+			answer(tk.r, client.Response{Status: client.StatusError, Error: err.Error()})
 		}
 		return
 	}
@@ -381,7 +381,12 @@ func (u *unit) runBundle(batch []*task) {
 				u.dedup.Release(tk.t.IdemKey)
 			}
 		}
-		tk.done(resp)
+		tk.r.Reply(resp)
+	}
+	// Push the bundle's answers: one write per connection, since a
+	// Replier whose connection was already flushed has nothing left.
+	for _, tk := range batch {
+		tk.r.Flush()
 	}
 }
 
