@@ -1,5 +1,6 @@
-// Package durable is the crash-consistency kit shared by the unsharded
-// server and every shard of the sharded runtime: the idempotency window,
+// Package durable is the crash-consistency kit of every shard unit of
+// the serving runtime (internal/shard; an unsharded server runs one):
+// the idempotency window,
 // its checkpoint sidecar, the checkpointer, and the restore walk. A
 // durable directory holds
 //
@@ -23,8 +24,8 @@ import (
 	"tskd/internal/wal"
 )
 
-// Restored reports what Restore found and did. The unsharded server's
-// recovery report is this struct; each shard's embeds it.
+// Restored reports what Restore found and did. Each shard's recovery
+// report embeds it; an unsharded server reports its one shard's.
 type Restored struct {
 	// CheckpointLSN is the LSN of the restored checkpoint (0 = none).
 	CheckpointLSN uint64 `json:"checkpoint_lsn"`

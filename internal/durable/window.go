@@ -11,9 +11,9 @@ import (
 // an in-flight transaction committed, so it resubmits under the same
 // idempotency key; the window remembers recently committed keys (with
 // their responses) and keys currently in flight, and answers duplicates
-// without executing them again. The unsharded server keeps one, every
-// shard keeps one for its single-shard transactions, and the sharded
-// coordinator keeps one for cross-shard transactions.
+// without executing them again. Every shard keeps one for its
+// single-shard transactions, and the 2PC coordinator keeps one for
+// cross-shard transactions.
 
 // State classifies a key on Begin.
 type State uint8

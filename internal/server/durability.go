@@ -4,24 +4,27 @@ import (
 	"errors"
 	"time"
 
+	"tskd/internal/arbiter"
 	"tskd/internal/durable"
-	"tskd/internal/overload"
 	"tskd/internal/replica"
+	"tskd/internal/shard"
 	"tskd/internal/storage"
 	"tskd/internal/wal"
 )
 
-// durability.go: the serving layer's crash-consistency wiring. A
-// durable server owns one data directory in the layout of
-// internal/durable (WAL segments, checkpoint images, dedup sidecars).
-// The commit path appends every write set to the WAL inside the engine
-// (core.Options.WAL) without waiting, and the engine run ends with one
-// barrier — one write, one fsync — over the whole bundle; the bundler
-// acknowledges the bundle's transactions only after that barrier
+// durability.go: the serving layer's durability options. A durable
+// server owns one data directory, written by its shard.Runtime: an
+// unsharded server's is flat, in the layout of internal/durable (WAL
+// segments, checkpoint images, dedup sidecars); a sharded one holds a
+// directory of that layout per shard plus the coordinator log. The
+// commit path appends every write set to the unit's WAL inside the
+// engine (core.Options.WAL) without waiting, and the engine run ends
+// with one barrier — one write, one fsync — over the whole bundle; the
+// unit acknowledges the bundle's transactions only after that barrier
 // returned, the write-ahead rule end to end at bundle granularity.
-// Between bundles the bundler checkpoints through durable.Checkpointer.
-// Startup recovery (durable.Restore) runs before the listener binds, so
-// a connection is only ever accepted by a server whose state includes
+// Between bundles the unit checkpoints through durable.Checkpointer.
+// Startup recovery runs in New, before the listener binds, so a
+// connection is only ever accepted by a server whose state includes
 // every commit it ever acknowledged.
 
 // DurabilityOptions turn a Server durable.
@@ -35,23 +38,24 @@ type DurabilityOptions struct {
 	GroupWindow time.Duration
 	// SegmentBytes rotates WAL segments (default wal.DefaultSegmentBytes).
 	SegmentBytes int64
-	// CheckpointBytes takes a checkpoint once this many WAL bytes have
-	// accumulated since the last one (default 4 MiB). Checkpoints run
-	// on the bundler between bundles, when the store is quiescent.
+	// CheckpointBytes takes a shard's checkpoint once this many WAL
+	// bytes have accumulated since its last one (default 4 MiB).
+	// Checkpoints run on the shard's loop between bundles, when the
+	// store is quiescent.
 	CheckpointBytes int64
-	// DedupWindow is how many committed idempotency keys the server
-	// remembers (default 65536). A duplicate arriving after its key
+	// DedupWindow is how many committed idempotency keys each shard
+	// (and the 2PC coordinator) remembers (default 65536). A duplicate arriving after its key
 	// was evicted re-executes; size the window to cover the client
 	// retry horizon.
 	DedupWindow int
 	// NoSync skips every fsync (tests only: a crash of the OS can then
 	// lose acknowledged commits; a crash of the process cannot).
 	NoSync bool
-	// WrapSyncer, when set, decorates the log's fsync syncer — on the
-	// initial segment and again after every rotation. Fault injection
-	// only (the chaos harness stalls fsyncs through it); ignored under
-	// NoSync, and refused by New in sharded mode, where the shards open
-	// their own logs and would not see it.
+	// WrapSyncer, when set, decorates every shard log's fsync syncer —
+	// on the initial segment and again after every rotation. Fault
+	// injection only (the chaos harness stalls fsyncs through it);
+	// ignored under NoSync. A sharded server's coordinator log keeps its
+	// own syncer.
 	WrapSyncer func(wal.Syncer) wal.Syncer
 	// Replication, when set, makes this server a replicating primary:
 	// every WAL flush is shipped through this live shipper to a backup
@@ -92,90 +96,35 @@ type RecoveryInfo = durable.Restored
 //
 // It returns the recovered database, what happened, and the committed
 // idempotency keys, and never opens the log for appending — chaos
-// tests and tools use it to inspect a data directory read-only; the
-// server wires the same result into a live log via openDurable.
+// tests and tools use it to inspect an unsharded data directory
+// read-only; New recovers through shard.Recover, which reads a
+// one-shard directory the same way.
 func Recover(dir string, base *storage.DB) (*storage.DB, RecoveryInfo, []uint64, error) {
 	return durable.Restore(dir, func() *storage.DB { return base }, nil)
 }
 
-// openDurable runs recovery and opens the log for appending, wiring
-// the results into the server: s.cfg.DB becomes the recovered
-// database, s.log the live WAL, s.dedup the restored window.
-func (s *Server) openDurable() error {
-	d := s.cfg.Durability
-	db, info, keys, err := Recover(d.Dir, s.cfg.DB)
-	if err != nil {
-		return err
+// shard translates d into the runtime's durability options; lease, when
+// set, gates every log flush.
+func (d *DurabilityOptions) shard(lease *arbiter.LeaseClient) *shard.Durability {
+	if d == nil {
+		return nil
 	}
-	opts := wal.DirOptions{
-		GroupWindow:  d.GroupWindow,
-		SegmentBytes: d.SegmentBytes,
-		StartLSN:     info.NextLSN,
-		NoSync:       d.NoSync,
-		WrapSyncer:   d.WrapSyncer,
+	sd := &shard.Durability{
+		Dir:             d.Dir,
+		GroupWindow:     d.GroupWindow,
+		SegmentBytes:    d.SegmentBytes,
+		CheckpointBytes: d.CheckpointBytes,
+		DedupWindow:     d.DedupWindow,
+		NoSync:          d.NoSync,
+		WrapSyncer:      d.WrapSyncer,
+		Replication:     d.Replication,
 	}
-	if s.cfg.Lease != nil {
+	if lease != nil {
 		// Fencing at the durability boundary: a flush (and every client
 		// ack riding on it) fails unless the lease is still held at
 		// flush time, so a deposed primary cannot acknowledge commits
 		// even if a request slipped past the admission-time check.
-		opts.FlushGate = s.cfg.Lease.Check
+		sd.FlushGate = lease.Check
 	}
-	// Attach replication before the log opens for appending: Stream
-	// snapshots every existing file (the catch-up copy), then live
-	// flushes ship through the returned hook.
-	if d.Replication != nil {
-		s.replicaEpoch = d.Replication.Epoch()
-		stream, serr := d.Replication.Stream(".", d.Dir)
-		if serr != nil {
-			return serr
-		}
-		opts.Shipper = stream
-	} else if s.replicaEpoch, err = replica.ReadEpoch(d.Dir); err != nil {
-		return err
-	}
-	log, err := wal.OpenDir(d.Dir, opts)
-	if err != nil {
-		return err
-	}
-	s.cfg.DB = db
-	s.log = log
-	if !s.cfg.Overload.DisableBreaker {
-		s.breaker = overload.NewBreaker(overload.BreakerConfig{
-			TripLatency: s.cfg.Overload.BreakerLatency,
-			Cooldown:    s.cfg.Overload.BreakerCooldown,
-			OnTransition: func(from, to overload.BreakerState) {
-				// Runs with the breaker's mutex held, possibly inside
-				// WAL flush completion: the event log is a leaf, so
-				// this never deadlocks.
-				s.events.Record(time.Now(), "breaker", from.String()+"->"+to.String())
-			},
-		})
-		log.SetMonitor(s.breaker)
-	}
-	s.recovery = info
-	s.dedup = durable.NewWindow(d.DedupWindow)
-	s.dedup.Restore(keys...)
-	s.ckpt = durable.NewCheckpointer(d.Dir, log, d.CheckpointBytes, !d.NoSync)
-	return nil
-}
-
-// maybeCheckpoint runs on the bundler between bundles — the only
-// moment the store is guaranteed quiescent and the durable LSN
-// boundary well-defined — and checkpoints once enough log has
-// accumulated since the last one.
-func (s *Server) maybeCheckpoint() {
-	if s.ckpt == nil || !s.ckpt.Due() {
-		return
-	}
-	lsn, removed, err := s.ckpt.Checkpoint(s.cfg.DB, s.dedup)
-	s.count(func(st *Stats) {
-		if err != nil {
-			st.CheckpointErrors++ // retried after the next bundle
-			return
-		}
-		st.Checkpoints++
-		st.LastCheckpointLSN = lsn
-		st.TruncatedSegments += uint64(removed)
-	})
+	return sd
 }

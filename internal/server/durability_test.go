@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,6 +38,16 @@ func durableConfig(dir string, ycsb workload.YCSB) Config {
 	}
 }
 
+// withShards turns an unsharded cfg into a shards-shard one, each shard
+// over its own copy of ycsb's database (no change for shards ≤ 1).
+func withShards(cfg Config, shards int, ycsb workload.YCSB) Config {
+	if shards > 1 {
+		cfg.Shards, cfg.DB = shards, nil
+		cfg.ShardDB = func(int) *storage.DB { return ycsb.BuildDB() }
+	}
+	return cfg
+}
+
 // markerKey addresses rows far above the preloaded YCSB range, so an
 // insert at markerKey(i) proves submission i executed.
 func markerKey(i int) txn.Key {
@@ -47,6 +61,31 @@ func markerReq(t *testing.T, idem uint64, i int) client.Request {
 		U(txn.MakeKey(workload.YCSBTable, (uint64(i)+7)%64), 1).
 		I(markerKey(i))
 	req, err := client.NewRequest(0, tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.IdemKey = idem
+	return req
+}
+
+// shardMarkerReq is markerReq confined to one shard of a shards-shard
+// server: the read and the update are moved to rows on the marker's
+// home shard, so every key lives in one unit's window.
+func shardMarkerReq(t *testing.T, shards int, idem uint64, i int) client.Request {
+	t.Helper()
+	if shards <= 1 {
+		return markerReq(t, idem, i)
+	}
+	router := shard.Router{Shards: shards}
+	home := router.Home(markerKey(i))
+	onHome := func(row uint64) txn.Key {
+		for ; ; row++ {
+			if k := txn.MakeKey(workload.YCSBTable, row%64); router.Home(k) == home {
+				return k
+			}
+		}
+	}
+	req, err := client.NewRequest(0, txn.New(0).R(onHome(uint64(i))).U(onHome(uint64(i)+7), 1).I(markerKey(i)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,34 +208,12 @@ func TestCheckpointTruncation(t *testing.T) {
 			ycsb := workload.YCSB{Records: 256}
 			router := shard.Router{Shards: shards}
 			config := func() Config {
-				cfg := durableConfig(dir, ycsb)
+				cfg := withShards(durableConfig(dir, ycsb), shards, ycsb)
 				cfg.Durability.SegmentBytes = 2 << 10
 				cfg.Durability.CheckpointBytes = 8 << 10
-				if shards > 1 {
-					cfg.Shards, cfg.DB = shards, nil
-					cfg.ShardDB = func(int) *storage.DB { return ycsb.BuildDB() }
-				}
 				return cfg
 			}
-			req := func(idem uint64, i int) client.Request {
-				if shards == 1 {
-					return markerReq(t, idem, i)
-				}
-				home := router.Home(markerKey(i))
-				onHome := func(row uint64) txn.Key {
-					for ; ; row++ {
-						if k := txn.MakeKey(workload.YCSBTable, row%64); router.Home(k) == home {
-							return k
-						}
-					}
-				}
-				req, err := client.NewRequest(0, txn.New(0).R(onHome(uint64(i))).U(onHome(uint64(i)+7), 1).I(markerKey(i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				req.IdemKey = idem
-				return req
-			}
+			req := func(idem uint64, i int) client.Request { return shardMarkerReq(t, shards, idem, i) }
 
 			s, err := New(config())
 			if err != nil {
@@ -234,6 +251,14 @@ func TestCheckpointTruncation(t *testing.T) {
 			conn.Close()
 			if err := s.Shutdown(context.Background()); err != nil {
 				t.Fatal(err)
+			}
+
+			// One shard keeps the flat layout: no coordinator log, no
+			// shard subdirectory.
+			for _, sub := range []string{"coord", "shard-00"} {
+				if _, err := os.Stat(filepath.Join(dir, sub)); shards == 1 && !errors.Is(err, fs.ErrNotExist) {
+					t.Errorf("one-shard data directory has %s/ (stat: %v)", sub, err)
+				}
 			}
 
 			// The truncated directory must still recover completely.
@@ -378,37 +403,59 @@ func TestInflightDuplicateRejected(t *testing.T) {
 	}
 }
 
-// TestRetryAfterScalesWithOccupancy pins satellite #1: the backoff
-// hint grows with the number of full bundles waiting in the admission
-// queue. Exercised directly against the internal method so queue
-// occupancy is exact rather than racing live traffic.
+// TestRetryAfterScalesWithOccupancy: the backoff hint grows with the
+// number of full bundles waiting in the admission queue. The unit is
+// parked in a held fsync, so queue occupancy is exact rather than
+// racing live traffic.
 func TestRetryAfterScalesWithOccupancy(t *testing.T) {
-	ycsb := workload.YCSB{Records: 64}
-	s, err := New(Config{
-		Addr:          "127.0.0.1:0",
-		Bundle:        4,
-		FlushInterval: 10 * time.Millisecond,
-		QueueDepth:    16,
-		DB:            ycsb.BuildDB(),
-		Core:          core.Options{Workers: 2},
+	hs := &heldSyncer{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	s := startHeld(t, 1, hs, func(c *Config) {
+		c.Bundle, c.QueueDepth = 4, 16
+		c.FlushInterval = 10 * time.Millisecond
+		c.Overload = OverloadOptions{DisableShed: true, DisableBreaker: true}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer s.Shutdown(context.Background())
+	release := sync.OnceFunc(func() { close(hs.release) })
+	defer release()
+
 	base := s.cfg.FlushInterval.Milliseconds() + 1
-	if got := s.retryAfterMS(); got != base {
+	if got := s.Stats().RetryAfterMS; got != base {
 		t.Fatalf("empty queue: retry-after %d, want %d", got, base)
 	}
-	// Stuff 12 pendings = 3 full bundles into the queue (the server
-	// was never started, so the bundler is not draining it).
-	for i := 0; i < 12; i++ {
-		s.admit <- &pending{}
+	// One transaction's bundle parks the unit in its barrier; the next
+	// 12 = 3 full bundles stay queued behind it.
+	first := submitPipelined(t, s.Addr(), markerReqs(t, 1, 1, 1))
+	<-hs.entered
+	queued := submitPipelined(t, s.Addr(), markerReqs(t, 1, 100, 12))
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().Admitted < 13 {
+		if time.Now().After(deadline) {
+			t.Fatalf("admission stalled: %+v", s.Stats())
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if got := s.retryAfterMS(); got != 4*base {
+	if got := s.Stats().RetryAfterMS; got != 4*base {
 		t.Fatalf("3-bundle backlog: retry-after %d, want %d", got, 4*base)
 	}
-	if st := s.Stats(); st.RetryAfterMS != 4*base {
-		t.Errorf("Stats.RetryAfterMS = %d, want %d", st.RetryAfterMS, 4*base)
+	// Four more fill the queue; the next is rejected with the hint of a
+	// 4-bundle backlog.
+	more := submitPipelined(t, s.Addr(), markerReqs(t, 1, 200, 4))
+	for s.Stats().Admitted < 17 {
+		if time.Now().After(deadline) {
+			t.Fatalf("admission stalled: %+v", s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if resp := <-submitPipelined(t, s.Addr(), markerReqs(t, 1, 300, 1)); !resp.Rejected() || resp.RetryAfterMS != 5*base {
+		t.Fatalf("full queue: %+v, want a rejection with retry-after %d", resp, 5*base)
+	}
+	release()
+	for _, out := range []<-chan client.Response{first, queued, more} {
+		for range cap(out) {
+			if resp := <-out; !resp.Committed() {
+				t.Fatalf("after release: %+v", resp)
+			}
+		}
 	}
 }
 

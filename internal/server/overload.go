@@ -10,22 +10,27 @@ package server
 //     bundle queue has held a standing backlog past its target sojourn,
 //     low priority first.
 //   - End-to-end deadlines stamp each admitted transaction; expired
-//     work is dropped at bundle formation (here) and between execution
-//     attempts (in the engine), answering StatusExpired — a transaction
-//     whose caller gave up is pure wasted contention if executed.
+//     work is dropped at bundle formation (by the shard unit) and
+//     between execution attempts (in the engine), answering
+//     StatusExpired — a transaction whose caller gave up is pure wasted
+//     contention if executed.
 //
-// When the shedder saturates (level ≥ ½: all low-priority traffic
-// already dropping), the server additionally enters brownout mode:
-// bundles skip TsPAR schedule refinement and raise the deferment
-// probability, trading schedule quality for control-path latency until
-// the backlog clears. Transitions are recorded in a bounded event log
-// exposed through /metrics.
+// The server decides; the runtime (internal/shard) observes: every
+// unit feeds its bundles' minimum queue sojourn to the shedder, and the
+// breaker monitors every shard log's group flushes. When the shedder
+// saturates (level ≥ ½: all low-priority traffic already dropping), a
+// unit additionally enters brownout mode: its bundles skip TsPAR
+// schedule refinement and raise the deferment probability, trading
+// schedule quality for control-path latency until the backlog clears.
+// Transitions are recorded in a bounded event log exposed through
+// /metrics.
 
 import (
 	"time"
 
 	"tskd/internal/client"
 	"tskd/internal/overload"
+	"tskd/internal/txn"
 )
 
 // OverloadOptions configures the server's overload resilience. The
@@ -72,34 +77,22 @@ func (o *OverloadOptions) withDefaults(flushInterval time.Duration) {
 	}
 }
 
-// refuse answers an admission without executing it: release the
-// request's dedup claim, recycle the pending, count the outcome, and
-// send status with the retry hint.
-func (s *Server) refuse(req *client.Request, p *pending, cw *connWriter, status string, retryMS int64, f func(*Stats)) {
-	if req.IdemKey != 0 && s.dedup != nil {
-		s.dedup.Release(req.IdemKey)
-	}
-	putPending(p)
+// refuse answers an admission without executing it: count the outcome
+// and send status with the retry hint.
+func (s *Server) refuse(seq uint64, cw *connWriter, status string, retryMS int64, f func(*Stats)) {
 	s.count(f)
-	cw.send(client.Response{Seq: req.Seq, Status: status, RetryAfterMS: retryMS})
+	cw.send(client.Response{Seq: seq, Status: status, RetryAfterMS: retryMS})
 }
 
 // gate applies the breaker, the shedder, and the deadline stamp to an
 // admission, in that order. It returns false when the request was
-// answered here (breaker-rejected, shed, or already expired) and the
-// pending recycled; true means p carries its deadline (possibly zero)
-// and should proceed to the admission queue.
-func (s *Server) gate(req *client.Request, p *pending, cw *connWriter, now time.Time) bool {
+// answered here (breaker-rejected, shed, or already expired); true
+// means t carries its deadline (possibly zero) and goes to the runtime.
+func (s *Server) gate(req *client.Request, t *txn.Transaction, cw *connWriter) bool {
 	if s.breaker != nil {
 		if ok, ra := s.breaker.Allow(); !ok {
-			ms := ra.Milliseconds()
-			if q := s.retryAfterMS(); q > ms {
-				ms = q
-			}
-			if ms < 1 {
-				ms = 1
-			}
-			s.refuse(req, p, cw, client.StatusRejected, ms, func(st *Stats) { st.BreakerRejected++ })
+			ms := max(ra.Milliseconds(), s.rt.RetryAfterMS(), 1)
+			s.refuse(req.Seq, cw, client.StatusRejected, ms, func(st *Stats) { st.BreakerRejected++ })
 			return false
 		}
 	}
@@ -109,89 +102,22 @@ func (s *Server) gate(req *client.Request, p *pending, cw *connWriter, now time.
 			pri = overload.PriLow
 		}
 		if s.shed.Decide(pri) {
-			ms := s.shed.Backoff().Milliseconds()
-			if q := s.retryAfterMS(); q > ms {
-				ms = q
-			}
-			if ms < 1 {
-				ms = 1
-			}
-			s.refuse(req, p, cw, client.StatusShed, ms, func(st *Stats) { st.Shed++ })
+			ms := max(s.shed.Backoff().Milliseconds(), s.rt.RetryAfterMS(), 1)
+			s.refuse(req.Seq, cw, client.StatusShed, ms, func(st *Stats) { st.Shed++ })
 			return false
 		}
 	}
 	switch {
 	case req.DeadlineMS < 0:
 		// Expired before it ever reached us; terminal, no retry hint.
-		s.refuse(req, p, cw, client.StatusExpired, 0, func(st *Stats) { st.Expired++ })
+		s.refuse(req.Seq, cw, client.StatusExpired, 0, func(st *Stats) { st.Expired++ })
 		return false
 	case req.DeadlineMS > 0:
-		p.t.Deadline = now.Add(time.Duration(req.DeadlineMS) * time.Millisecond)
+		t.Deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
 	case s.cfg.Overload.DefaultDeadline > 0:
-		p.t.Deadline = now.Add(s.cfg.Overload.DefaultDeadline)
+		t.Deadline = time.Now().Add(s.cfg.Overload.DefaultDeadline)
 	default:
-		p.t.Deadline = time.Time{}
+		t.Deadline = time.Time{}
 	}
 	return true
-}
-
-// dropExpired runs at bundle formation: it answers and removes
-// transactions whose deadline passed while they queued, and feeds the
-// bundle's minimum queue sojourn — CoDel's standing-queue estimator —
-// to the shedder, toggling brownout mode when the controller crosses
-// half intensity. Expired drops still count into ResultsStreamed: they
-// are admissions the server answered, just not by executing.
-func (s *Server) dropExpired(batch []*pending) []*pending {
-	now := time.Now()
-	minSojourn := time.Duration(-1)
-	live := batch[:0]
-	for _, p := range batch {
-		if so := now.Sub(p.enqueued); minSojourn < 0 || so < minSojourn {
-			minSojourn = so
-		}
-		if !p.t.Deadline.IsZero() && now.After(p.t.Deadline) {
-			if p.t.IdemKey != 0 && s.dedup != nil {
-				s.dedup.Release(p.t.IdemKey)
-			}
-			// Count before answering: a client that has its response
-			// must find the drop in Stats.
-			s.count(func(st *Stats) {
-				st.Expired++
-				st.ResultsStreamed++
-			})
-			if !p.conn.send(client.Response{Seq: p.seq, Status: client.StatusExpired}) {
-				s.count(func(st *Stats) { st.Forfeited++ })
-			}
-			putPending(p)
-			continue
-		}
-		live = append(live, p)
-	}
-	if s.shed != nil && minSojourn >= 0 {
-		s.shed.Observe(minSojourn)
-		s.setBrownout(s.shed.Saturated())
-	}
-	return live
-}
-
-// setBrownout flips degraded bundle processing on saturation changes.
-// Called only from the bundler goroutine (SetBrownout is not
-// synchronized; the pipeline runs on this goroutine).
-func (s *Server) setBrownout(on bool) {
-	if on == s.brownoutOn {
-		return
-	}
-	s.brownoutOn = on
-	s.pipeline.SetBrownout(on)
-	detail := "exit"
-	if on {
-		detail = "enter"
-	}
-	s.events.Record(time.Now(), "brownout", detail)
-	s.count(func(st *Stats) {
-		st.Brownout = on
-		if on {
-			st.BrownoutEnters++
-		}
-	})
 }

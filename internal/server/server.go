@@ -1,21 +1,23 @@
 // Package server is the TSKD serving layer: a TCP front-end that turns
 // open-system arrivals into the paper's bundled workload model
 // (Section 2.1). Transactions arrive over the wire protocol of
-// internal/client, pass a bounded admission queue with explicit
-// backpressure, accumulate into bundles closed by size or by a flush
-// timer, and execute through core.Pipeline — TSgen scheduling plus
-// TsDEFER, with cost estimates learned from the execution history of
-// earlier bundles. Per-transaction outcomes (commit/abort, retries,
-// queue wait, execution latency) stream back on the submitting
-// connection.
+// internal/client, pass the lease and overload gates, and are served by
+// a shard.Runtime — one unit when Config.Shards ≤ 1, one per shard
+// otherwise, with cross-shard transactions committing through 2PC. A
+// unit's bounded admission queue feeds its bundles, closed by size or
+// by a flush timer, which execute through core.Pipeline — TSgen
+// scheduling plus TsDEFER, with cost estimates learned from the
+// execution history of earlier bundles. Per-transaction outcomes
+// (commit/abort, retries, queue wait, execution latency) stream back on
+// the submitting connection, one frame per connection per bundle.
 //
-// The admission queue is the only buffer between the network and the
-// engine, and it is bounded: when it is full — or the server is
-// draining — a submission is rejected immediately with a retry-after
-// hint, never buffered without limit. Graceful shutdown stops
-// admitting, flushes everything already admitted, and only then
-// returns; a hard deadline cancels the in-flight bundle through the
-// engine's context plumbing, reporting the abandoned transactions as
+// The admission queues are the only buffers between the network and
+// the engines, and they are bounded: when a queue is full — or the
+// server is draining — a submission is rejected immediately with a
+// retry-after hint, never buffered without limit. Graceful shutdown
+// stops admitting, flushes everything already admitted, and only then
+// returns; a hard deadline cancels the in-flight bundles through the
+// engines' context plumbing, reporting the abandoned transactions as
 // canceled rather than dropping them silently.
 package server
 
@@ -31,22 +33,19 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tskd/internal/arbiter"
 	"tskd/internal/cc"
 	"tskd/internal/client"
 	"tskd/internal/core"
-	"tskd/internal/durable"
-	"tskd/internal/engine"
 	"tskd/internal/metrics"
 	"tskd/internal/overload"
 	"tskd/internal/partition"
 	"tskd/internal/replica"
 	"tskd/internal/shard"
 	"tskd/internal/storage"
-	"tskd/internal/txn"
-	"tskd/internal/wal"
 )
 
 // Config configures a Server.
@@ -69,17 +68,18 @@ type Config struct {
 	// after its first transaction was collected (default 10ms), so a
 	// trickle of arrivals is never stranded waiting for a full bundle.
 	FlushInterval time.Duration
-	// QueueDepth is the admission queue capacity (default 4×Bundle).
-	// Submissions beyond it are rejected with a retry-after hint.
+	// QueueDepth is each shard's admission queue capacity (default
+	// 4×Bundle). Submissions beyond it are rejected with a retry-after
+	// hint.
 	QueueDepth int
 	// DB is the database the transactions run against; required.
 	DB *storage.DB
 	// Partitioner splits each bundle before TSgen; nil is TSKD[0]
 	// (scheduling from scratch).
 	Partitioner partition.Partitioner
-	// Core configures workers, CC protocol, TsDEFER and friends.
-	// Estimator, CostSink, TraceSpans, Ctx and WAL are managed by the
-	// server and must be left zero. Recorder may be set (tests) to
+	// Core configures workers (per shard), CC protocol, TsDEFER and
+	// friends. Estimator, CostSink, TraceSpans, Ctx and WAL are managed
+	// by the runtime and must be left zero. Recorder may be set (tests) to
 	// capture commits for serializability checking.
 	Core core.Options
 	// Durability, when non-nil, makes the server durable: commits are
@@ -94,13 +94,14 @@ type Config struct {
 	Overload OverloadOptions
 	// Shards, when > 1, runs the server in sharded mode: the key space
 	// is hash-partitioned over this many independent engine instances
-	// (internal/shard), each with its own bundling loop — and, when
-	// Durability is set, its own WAL directory and checkpoints under
-	// Durability.Dir — while cross-shard transactions commit through
-	// two-phase commit. DB and Partitioner are ignored in sharded mode;
-	// ShardDB (and optionally ShardPartitioner) take their place.
-	// Deadline stamping still applies, but the shedder and the WAL
-	// breaker do not (each shard's bounded queue is the backpressure).
+	// (internal/shard units), each with its own bundling loop — and,
+	// when Durability is set, its own WAL directory and checkpoints
+	// under Durability.Dir — while cross-shard transactions commit
+	// through two-phase commit. DB and Partitioner are ignored in
+	// sharded mode; ShardDB (and optionally ShardPartitioner) take their
+	// place. Otherwise the server runs one unit over DB with its data
+	// files directly under Durability.Dir. Deadlines, the shedder and
+	// the WAL breaker apply at every shard count.
 	Shards int
 	// ShardDB builds shard i's initial store; required in sharded mode.
 	ShardDB func(i int) *storage.DB
@@ -123,11 +124,6 @@ func (c *Config) withDefaults() error {
 	if c.Shards > 1 {
 		if c.ShardDB == nil {
 			return errors.New("server: Config.ShardDB is required in sharded mode")
-		}
-		if c.Durability != nil && c.Durability.WrapSyncer != nil {
-			// Better to refuse than to let a fault-injection run believe
-			// it is stalling fsyncs that it never touches.
-			return errors.New("server: DurabilityOptions.WrapSyncer is not supported in sharded mode (Shards > 1): the shards' logs would ignore it")
 		}
 	} else if c.DB == nil {
 		return errors.New("server: Config.DB is required")
@@ -160,7 +156,7 @@ func (c *Config) withDefaults() error {
 // Stats is a point-in-time snapshot of the server's counters, the
 // payload of the /metrics endpoint.
 type Stats struct {
-	// Admission.
+	// Admission (QueueDepth and QueueCap summed over the shards).
 	Admitted   uint64 `json:"admitted"`
 	Rejected   uint64 `json:"rejected"`
 	Malformed  uint64 `json:"malformed"`
@@ -172,7 +168,9 @@ type Stats struct {
 	// handshake (a lifetime total, not a currently-open count).
 	ConnsBinary uint64 `json:"conns_binary"`
 
-	// Bundling.
+	// Bundling. ResultsStreamed counts the answers of admitted
+	// transactions: executed outcomes (2PC commits and user aborts
+	// included) plus expiries after admission — never refusals.
 	Bundles         int     `json:"bundles"`
 	MeanOccupancy   float64 `json:"mean_bundle_occupancy"`
 	MaxOccupancy    int     `json:"max_bundle_occupancy"`
@@ -192,9 +190,9 @@ type Stats struct {
 	// ResultsStreamed: produced, not delivered).
 	Forfeited uint64 `json:"forfeited"`
 	// RetryAfterMS is the backoff hint a rejection would carry right
-	// now: the flush interval scaled by admission-queue occupancy,
-	// raised to the breaker's and the shedder's own hints when either
-	// is backing traffic off.
+	// now: the flush interval scaled by the deepest admission queue's
+	// occupancy, raised to the breaker's and the shedder's own hints
+	// when either is backing traffic off.
 	RetryAfterMS int64 `json:"retry_after_ms"`
 
 	// Overload resilience. Expired counts transactions dropped past
@@ -247,8 +245,8 @@ type Stats struct {
 	// Sharded runtime (empty unless Config.Shards > 1): per-shard
 	// counters plus the cross-shard 2PC counters
 	// (prepared/committed/aborted/in-doubt and friends). The top-level
-	// engine counters above are rolled up across shards, with 2PC
-	// commits included in Committed.
+	// counters above are rolled up across shards, with 2PC commits
+	// included in Committed.
 	Shards []shard.ShardStats `json:"shards,omitempty"`
 	TwoPC  *shard.TwoPCStats  `json:"twopc,omitempty"`
 
@@ -270,126 +268,55 @@ type ReplicationStats struct {
 	replica.ShipperStats
 }
 
-// pending is one admitted transaction awaiting execution. Pendings and
-// their embedded transactions are pooled: the serve path allocates
-// neither in steady state. Ownership moves with the struct — the
-// reader goroutine owns it from getPending until tryAdmit succeeds,
-// then the bundler owns it until the response has been buffered on the
-// connection, at which point putPending recycles it.
-type pending struct {
-	t        *txn.Transaction
-	seq      uint64
-	conn     *connWriter
-	enqueued time.Time
-}
-
-var pendingPool = sync.Pool{
-	New: func() any { return &pending{t: &txn.Transaction{}} },
-}
-
-func getPending() *pending { return pendingPool.Get().(*pending) }
-
-// putPending recycles p. The transaction keeps its Ops, Params and
-// access-set capacity (params are pointer-free, so retaining the array
-// pins no request memory) but drops the template reference.
-func putPending(p *pending) {
-	p.t.Template = ""
-	p.t.Params = p.t.Params[:0]
-	p.conn = nil
-	pendingPool.Put(p)
-}
-
 // Server is a running tskd-serve instance.
 type Server struct {
-	cfg      Config
-	pipeline *core.Pipeline
-	rt       *shard.Runtime // non-nil in sharded mode; pipeline is nil
+	cfg Config
+	rt  *shard.Runtime
 
 	ln      net.Listener
 	httpLn  net.Listener
 	httpSrv *http.Server
 
-	admit     chan *pending
-	admitMu   sync.RWMutex // draining flips under the write lock
-	draining  bool
-	drainCh   chan struct{} // closed when draining starts
-	bundlerWG sync.WaitGroup
-
-	runCtx    context.Context
-	runCancel context.CancelFunc
+	draining atomic.Bool
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
 	start time.Time
 
-	// Durability (nil/zero unless cfg.Durability is set). log and
-	// dedup are internally synchronized; ckpt is touched only by the
-	// bundler goroutine.
-	log      *wal.Log
-	dedup    *durable.Window
-	ckpt     *durable.Checkpointer
-	recovery RecoveryInfo
-
 	// replicaEpoch is the fencing epoch this incarnation runs under
 	// (the shipper's when replicating, the directory's persisted epoch
 	// after a promotion, 0 otherwise). Immutable after New.
 	replicaEpoch uint64
 
-	// Overload resilience. shed and breaker are internally
-	// synchronized leaves (safe from connection goroutines and from
-	// inside WAL flush completion); events likewise. brownoutOn is
-	// owned by the bundler goroutine. breaker is nil unless the server
-	// is durable and the breaker enabled; shed is nil when shedding is
-	// disabled.
-	shed       *overload.Shedder
-	breaker    *overload.Breaker
-	events     *overload.EventLog
-	brownoutOn bool
+	// Overload resilience: the server makes the breaker and shed
+	// decisions at admission, the runtime feeds both. shed, breaker and
+	// events are internally synchronized leaves. breaker is nil unless
+	// the server is durable and the breaker enabled; shed is nil when
+	// shedding is disabled.
+	shed    *overload.Shedder
+	breaker *overload.Breaker
+	events  *overload.EventLog
 
-	mu        sync.Mutex // guards everything below
+	forfeited atomic.Uint64
+	mu        sync.Mutex // guards stats
 	stats     Stats
-	queueWait metrics.Histogram
-	execLat   metrics.Histogram
-
-	// Bundle scaffolding, owned by the bundler goroutine and reused
-	// across bundles so steady-state bundling does not allocate.
-	batch    []*pending
-	work     txn.Workload
-	spans    []engine.ExecSpan // dense by in-bundle txn ID
-	haveSpan []bool
 }
 
-// New validates cfg and returns an unstarted server. With
-// Config.Durability set, New also runs startup recovery — newest valid
-// checkpoint plus WAL tail — so by the time it returns, the server's
-// database holds every commit a previous incarnation ever
+// New validates cfg and opens the runtime that will serve it, unstarted
+// on the network side. With Config.Durability set, New also runs
+// startup recovery — newest valid checkpoint plus WAL tail per shard,
+// in-doubt 2PC prepares resolved — so by the time it returns, the
+// server's databases hold every commit a previous incarnation ever
 // acknowledged; Start then binds the listeners over that state.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
-	runCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:       cfg,
-		admit:     make(chan *pending, cfg.QueueDepth),
-		drainCh:   make(chan struct{}),
-		runCtx:    runCtx,
-		runCancel: cancel,
-		conns:     make(map[net.Conn]struct{}),
-		events:    overload.NewEventLog(0),
-	}
-	if cfg.Shards > 1 {
-		// Sharded mode: the multi-shard runtime replaces the pipeline,
-		// the WAL, the dedup window, the shedder and the breaker — each
-		// shard runs its own bundling loop over its own slice of the key
-		// space, and recovery (when durable) resolves every in-doubt
-		// prepared transaction before Open returns.
-		if err := s.openSharded(); err != nil {
-			cancel()
-			return nil, err
-		}
-		return s, nil
+		cfg:    cfg,
+		conns:  make(map[net.Conn]struct{}),
+		events: overload.NewEventLog(0),
 	}
 	if !cfg.Overload.DisableShed {
 		s.shed = overload.NewShedder(overload.ShedConfig{
@@ -398,28 +325,67 @@ func New(cfg Config) (*Server, error) {
 			Seed:   cfg.Core.Seed + 1,
 		})
 	}
-	if cfg.Durability != nil {
-		if err := s.openDurable(); err != nil {
-			cancel()
-			return nil, err
-		}
+	if cfg.Durability != nil && !cfg.Overload.DisableBreaker {
+		s.breaker = overload.NewBreaker(overload.BreakerConfig{
+			TripLatency: cfg.Overload.BreakerLatency,
+			Cooldown:    cfg.Overload.BreakerCooldown,
+			OnTransition: func(from, to overload.BreakerState) {
+				// Runs with the breaker's mutex held, possibly inside
+				// WAL flush completion: the event log is a leaf, so
+				// this never deadlocks.
+				s.events.Record(time.Now(), "breaker", from.String()+"->"+to.String())
+			},
+		})
 	}
-	opts := s.cfg.Core
-	opts.TraceSpans = true // per-transaction outcomes come from spans
-	opts.WAL = s.log       // nil unless durable
-	s.pipeline = core.NewPipeline(s.cfg.DB, s.cfg.Partitioner, opts)
+	rcfg := shard.Config{
+		Shards:        cfg.Shards,
+		DB:            cfg.ShardDB,
+		Partitioner:   cfg.ShardPartitioner,
+		Bundle:        cfg.Bundle,
+		FlushInterval: cfg.FlushInterval,
+		QueueDepth:    cfg.QueueDepth,
+		Core:          cfg.Core,
+		Durability:    cfg.Durability.shard(cfg.Lease),
+		Shed:          s.shed,
+		Breaker:       s.breaker,
+		Events:        s.events,
+	}
+	if cfg.Shards <= 1 {
+		rcfg.Shards = 1
+		rcfg.DB = func(int) *storage.DB { return cfg.DB }
+		rcfg.Partitioner = func(int) partition.Partitioner { return cfg.Partitioner }
+	}
+	rt, err := shard.Open(rcfg)
+	if err != nil {
+		return nil, err
+	}
+	s.rt = rt
+	s.replicaEpoch = rt.ReplicaEpoch()
 	return s, nil
 }
 
 // DB returns the database the server runs against — the recovered one
-// when Config.Durability is set.
-func (s *Server) DB() *storage.DB { return s.cfg.DB }
+// when Config.Durability is set; shard 0's in sharded mode.
+func (s *Server) DB() *storage.DB { return s.rt.DB(0) }
 
-// Recovery reports what startup recovery found (zero when the server
-// is not durable or the directory was fresh).
-func (s *Server) Recovery() RecoveryInfo { return s.recovery }
+// Recovery reports what startup recovery found in an unsharded data
+// directory (zero when the server is sharded, not durable, or the
+// directory was fresh).
+func (s *Server) Recovery() RecoveryInfo {
+	if r := s.rt.Recovery(); len(r.Shards) == 1 {
+		return r.Shards[0].Restored
+	}
+	return RecoveryInfo{}
+}
 
-// Start binds the listeners and launches the accept and bundler loops.
+// Runtime returns the runtime serving the transactions.
+func (s *Server) Runtime() *shard.Runtime { return s.rt }
+
+// ShardRecovery reports what startup recovery found per shard (zero
+// value when not durable).
+func (s *Server) ShardRecovery() shard.RecoveryInfo { return s.rt.Recovery() }
+
+// Start binds the listeners and launches the accept loop.
 // A lease-gated server first waits briefly for its first lease so the
 // common case — a healthy primary booting — never answers early
 // connections with not_primary; a server that cannot acquire the lease
@@ -455,10 +421,6 @@ func (s *Server) Start() error {
 		go s.httpSrv.Serve(hln)
 	}
 	s.start = time.Now()
-	if s.rt == nil {
-		s.bundlerWG.Add(1)
-		go s.bundler()
-	}
 	go s.acceptLoop()
 	return nil
 }
@@ -474,51 +436,20 @@ func (s *Server) HTTPAddr() string {
 	return s.httpLn.Addr().String()
 }
 
-// Shutdown drains gracefully: stop accepting connections and
-// admitting transactions, flush every bundle already admitted, then
-// close. If ctx expires first, the in-flight bundle is canceled
-// through the engine (its unfinished transactions respond "canceled")
-// and ctx.Err() is returned.
+// Shutdown drains gracefully: stop admitting transactions, flush every
+// bundle already admitted (in-flight 2PCs decide and apply first), close
+// the logs, then close the listeners and connections. If ctx
+// expires first, the in-flight bundles are canceled through the engines
+// (their unfinished transactions respond "canceled") and ctx.Err() is
+// returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.admitMu.Lock()
-	already := s.draining
-	s.draining = true
-	s.admitMu.Unlock()
-	if already {
+	if s.draining.Swap(true) {
 		return errors.New("server: already shut down")
 	}
+	// The runtime stops admitting first thing; a connection accepted
+	// while it drains has its submissions refused like the open ones.
+	err := s.rt.Shutdown(ctx)
 	s.ln.Close()
-	close(s.drainCh)
-
-	done := make(chan struct{})
-	go func() {
-		s.bundlerWG.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.runCancel() // hard stop: abandon the in-flight bundle
-		<-done
-		err = ctx.Err()
-	}
-	if s.rt != nil {
-		// The runtime drains its own shards (in-flight 2PCs decide and
-		// apply first) and closes its logs.
-		if rerr := s.rt.Shutdown(ctx); err == nil {
-			err = rerr
-		}
-	}
-
-	if s.log != nil {
-		// The bundler has exited: no commit can be in flight, and the
-		// last bundle's barrier left nothing pending. Close syncs and
-		// closes the active segment.
-		if cerr := s.log.Close(); err == nil {
-			err = cerr
-		}
-	}
 	if s.httpSrv != nil {
 		s.httpSrv.Close()
 	}
@@ -544,24 +475,26 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// connWriter serializes responses onto one connection. Sends come
-// from both the reader (rejections, parse errors) and the bundler
+// connWriter serializes responses onto one connection; it is the
+// shard.Replier of every transaction the connection submits. Sends come
+// from the reader (refusals, parse errors) and from the runtime
 // (outcomes). Responses are encoded into a per-connection batch (no
 // per-send allocation) and written through a bufio.Writer: reader-path
 // sends flush immediately, bundle outcomes stay buffered until the
-// bundler's per-bundle flush, so a bundle costs one syscall and one
+// unit's per-bundle flush, so a bundle costs one syscall and one
 // BinFrameResponses frame per connection instead of one per
 // transaction, and a pipelined client decodes a whole bundle's
-// outcomes from one read. The first write error latches
-// the writer dead: a TCP write to a gone peer can block for the whole
-// kernel timeout, so retrying a dead connection once per outcome would
-// stall the bundler — instead every later send is skipped immediately
-// and the outcome counted as forfeited.
+// outcomes from one read. The first write error latches the writer
+// dead: a TCP write to a gone peer can block for the whole kernel
+// timeout, so retrying a dead connection once per outcome would stall
+// a unit — instead every later send is skipped immediately and the
+// outcome counted as forfeited.
 type connWriter struct {
-	mu   sync.Mutex
-	bw   *bufio.Writer
-	hdr  []byte // frame-header scratch, owned by mu
-	dead bool
+	mu        sync.Mutex
+	bw        *bufio.Writer
+	hdr       []byte // frame-header scratch, owned by mu
+	dead      bool
+	forfeited *atomic.Uint64 // counts outcomes lost to a dead connection
 
 	// batch accumulates encoded response bodies for the next
 	// BinFrameResponses frame; batchN counts them.
@@ -584,13 +517,16 @@ func (cw *connWriter) send(resp client.Response) bool {
 	return cw.write(&resp, true)
 }
 
-// sendBuffered encodes resp into the connection's write buffer without
-// flushing. The caller must arrange a flush (the bundler flushes once
-// per bundle per connection); until then the response is not on the
-// wire.
-func (cw *connWriter) sendBuffered(resp *client.Response) bool {
-	return cw.write(resp, false)
+// Reply buffers a runtime outcome without flushing: the runtime calls
+// Flush after it, once per bundle per connection.
+func (cw *connWriter) Reply(resp client.Response) {
+	if !cw.write(&resp, false) {
+		cw.forfeited.Add(1)
+	}
 }
+
+// Flush pushes buffered outcomes onto the wire.
+func (cw *connWriter) Flush() { cw.flush() }
 
 func (cw *connWriter) write(resp *client.Response, flush bool) bool {
 	cw.mu.Lock()
@@ -672,6 +608,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		return
 	}
 	cw := newConnWriter(nc)
+	cw.forfeited = &s.forfeited
 	s.count(func(st *Stats) { st.ConnsBinary++ })
 	in := client.NewInterner(0)
 	var hdr [4]byte
@@ -699,26 +636,16 @@ func (s *Server) serveConn(nc net.Conn) {
 			cw.send(client.Response{Status: client.StatusError, Error: fmt.Sprintf("unexpected frame type %d", payload[0])})
 			return
 		}
-		if s.rt != nil {
-			// Sharded mode: the runtime owns each transaction until it
-			// has been answered, so no pooling here.
-			t := &txn.Transaction{}
-			if err := client.DecodeRequestFrame(payload, &req, t, in); err != nil {
-				s.count(func(st *Stats) { st.Malformed++ })
-				cw.send(client.Response{Seq: req.Seq, Status: client.StatusError, Error: err.Error()})
-				continue
-			}
-			s.serveSharded(&req, t, cw)
-			continue
-		}
-		p := getPending()
-		if err := client.DecodeRequestFrame(payload, &req, p.t, in); err != nil {
-			putPending(p)
+		// The task and its transaction are pooled: the runtime recycles
+		// them once the outcome is answered.
+		tk := shard.NewTask()
+		if err := client.DecodeRequestFrame(payload, &req, tk.Txn(), in); err != nil {
+			tk.Release()
 			s.count(func(st *Stats) { st.Malformed++ })
 			cw.send(client.Response{Seq: req.Seq, Status: client.StatusError, Error: err.Error()})
 			continue
 		}
-		s.admitDecoded(&req, p, cw)
+		s.admit(&req, tk, cw)
 	}
 }
 
@@ -741,262 +668,14 @@ func (s *Server) checkLease(seq uint64, cw *connWriter) bool {
 	return false
 }
 
-// admitDecoded runs the admission tail for a request whose
-// transaction p.t is fully populated: lease gate, idempotency window,
-// overload gate, bounded admission.
-func (s *Server) admitDecoded(req *client.Request, p *pending, cw *connWriter) {
-	if !s.checkLease(req.Seq, cw) {
-		putPending(p)
+// admit runs a decoded request through the lease and overload gates
+// and hands it to the runtime, or answers it here.
+func (s *Server) admit(req *client.Request, tk *shard.Task, cw *connWriter) {
+	if s.checkLease(req.Seq, cw) && s.gate(req, tk.Txn(), cw) {
+		s.rt.Serve(tk, req.Seq, cw)
 		return
 	}
-	if req.IdemKey != 0 && s.dedup != nil {
-		switch state, cached := s.dedup.Begin(req.IdemKey); state {
-		case durable.Hit:
-			// Already committed (possibly in a previous incarnation):
-			// answer without executing.
-			putPending(p)
-			cached.Seq = req.Seq
-			cached.Duplicate = true
-			s.count(func(st *Stats) { st.DedupHits++ })
-			cw.send(cached)
-			return
-		case durable.Inflight:
-			// The original is still executing; its outcome will reach
-			// whoever submitted it. Back off and retry: by then the key
-			// is either committed (answered above) or released
-			// (executes fresh).
-			putPending(p)
-			s.count(func(st *Stats) { st.DedupInflight++ })
-			cw.send(client.Response{
-				Seq: req.Seq, Status: client.StatusRejected,
-				RetryAfterMS: s.retryAfterMS(),
-			})
-			return
-		}
-	}
-	now := time.Now()
-	p.seq, p.conn, p.enqueued = req.Seq, cw, now
-	if !s.gate(req, p, cw, now) {
-		return // answered: breaker-rejected, shed, or expired
-	}
-	if s.tryAdmit(p) {
-		s.count(func(st *Stats) { st.Admitted++ })
-	} else {
-		s.refuse(req, p, cw, client.StatusRejected, s.retryAfterMS(),
-			func(st *Stats) { st.Rejected++ })
-	}
-}
-
-// retryAfterMS is the backoff hint for a rejection: the flush interval
-// (plus one tick) scaled by how many full bundles are already waiting
-// in the admission queue, so the hint grows with the backlog a
-// retrying client is behind. When the breaker is open or the shedder
-// engaged, their own hints take over if larger — there is no point
-// retrying sooner than the WAL can recover or the backlog can drain.
-func (s *Server) retryAfterMS() int64 {
-	base := s.cfg.FlushInterval.Milliseconds() + 1
-	waiting := len(s.admit) / s.cfg.Bundle
-	ms := base * int64(1+waiting)
-	if s.breaker != nil {
-		if bra := s.breaker.RetryAfter().Milliseconds(); bra > ms {
-			ms = bra
-		}
-	}
-	if s.shed != nil {
-		if sra := s.shed.Backoff().Milliseconds(); sra > ms {
-			ms = sra
-		}
-	}
-	return ms
-}
-
-// tryAdmit enqueues p unless the queue is full or the server is
-// draining. The read lock pairs with Shutdown's write lock so that no
-// admission can slip in after draining flips: every pending the
-// bundler must flush is already in the channel when drainCh closes.
-func (s *Server) tryAdmit(p *pending) bool {
-	s.admitMu.RLock()
-	defer s.admitMu.RUnlock()
-	if s.draining {
-		return false
-	}
-	select {
-	case s.admit <- p:
-		return true
-	default:
-		return false
-	}
-}
-
-// bundler is the single consumer of the admission queue: it collects
-// bundles (size- or timer-closed) and executes them in admission
-// order.
-func (s *Server) bundler() {
-	defer s.bundlerWG.Done()
-	for {
-		var first *pending
-		select {
-		case first = <-s.admit:
-		case <-s.drainCh:
-			s.finalDrain()
-			return
-		}
-		batch := append(s.batch[:0], first)
-		timer := time.NewTimer(s.cfg.FlushInterval)
-	collect:
-		for len(batch) < s.cfg.Bundle {
-			select {
-			case p := <-s.admit:
-				batch = append(batch, p)
-			case <-timer.C:
-				break collect
-			case <-s.drainCh:
-				break collect
-			}
-		}
-		timer.Stop()
-		s.batch = batch
-		s.runBundle(batch)
-		s.maybeCheckpoint()
-	}
-}
-
-// finalDrain flushes whatever was admitted before draining flipped.
-func (s *Server) finalDrain() {
-	batch := s.batch[:0]
-	for {
-		select {
-		case p := <-s.admit:
-			batch = append(batch, p)
-			if len(batch) >= s.cfg.Bundle {
-				s.runBundle(batch)
-				batch = batch[:0]
-			}
-		default:
-			if len(batch) > 0 {
-				s.runBundle(batch)
-			}
-			s.batch = batch[:0]
-			return
-		}
-	}
-}
-
-// runBundle renumbers the batch densely, executes it through the
-// pipeline, and streams one response per transaction. Responses are
-// buffered per connection and flushed once at the bundle boundary —
-// one write syscall per connection per bundle — and the batch's
-// pendings (with their transactions) return to the pool afterwards.
-func (s *Server) runBundle(batch []*pending) {
-	batch = s.dropExpired(batch)
-	if len(batch) == 0 {
-		return
-	}
-	w := s.work[:0]
-	for i, p := range batch {
-		p.t.ID = i
-		w = append(w, p.t)
-	}
-	s.work = w
-	bundleNo := s.pipeline.Bundles()
-	execStart := time.Now()
-	res, err := s.pipeline.ProcessContext(s.runCtx, w)
-	if err != nil {
-		// Unreachable with a validated Config; fail the batch loudly
-		// rather than dropping it.
-		for _, p := range batch {
-			p.conn.send(client.Response{Seq: p.seq, Status: client.StatusError, Error: err.Error()})
-		}
-		s.releaseBatch(batch)
-		return
-	}
-
-	// Transaction IDs are dense 0..len(batch)-1, so span lookup is a
-	// slice index, not a map.
-	if cap(s.spans) < len(batch) {
-		s.spans = make([]engine.ExecSpan, len(batch))
-		s.haveSpan = make([]bool, len(batch))
-	}
-	spans, have := s.spans[:len(batch)], s.haveSpan[:len(batch)]
-	for i := range have {
-		have[i] = false
-	}
-	for _, sp := range res.Spans {
-		if sp.TxnID >= 0 && sp.TxnID < len(batch) {
-			spans[sp.TxnID], have[sp.TxnID] = sp, true
-		}
-	}
-	respNow := time.Now()
-	s.mu.Lock()
-	for _, p := range batch {
-		resp := client.Response{Seq: p.seq, Bundle: bundleNo}
-		wait := execStart.Sub(p.enqueued)
-		resp.QueueUS = wait.Microseconds()
-		s.queueWait.Record(wait)
-		if have[p.t.ID] {
-			sp := spans[p.t.ID]
-			exec := sp.End - sp.Start
-			resp.Status = client.StatusCommit
-			resp.Retries = sp.Retries
-			resp.ExecUS = exec.Microseconds()
-			s.execLat.Record(exec)
-		} else if p.t.UserAbort {
-			resp.Status = client.StatusAbort
-		} else if !p.t.Deadline.IsZero() && respNow.After(p.t.Deadline) {
-			// No span, no user abort, deadline passed: the engine
-			// dropped it (before its first attempt or between retries).
-			resp.Status = client.StatusExpired
-		} else {
-			resp.Status = client.StatusCanceled
-		}
-		if p.t.IdemKey != 0 && s.dedup != nil {
-			if resp.Status == client.StatusCommit {
-				// The commit is already durable (Process returns only
-				// after the WAL barrier covered the whole bundle), so
-				// remembering the key here keeps the window consistent
-				// with the log.
-				s.dedup.Commit(p.t.IdemKey, resp)
-			} else {
-				s.dedup.Release(p.t.IdemKey) // abort/cancel: retryable
-			}
-		}
-		s.stats.ResultsStreamed++
-		if !p.conn.sendBuffered(&resp) {
-			s.stats.Forfeited++
-		}
-	}
-	s.stats.Bundles++
-	if len(batch) > s.stats.MaxOccupancy {
-		s.stats.MaxOccupancy = len(batch)
-	}
-	s.stats.HistoryRecords = s.pipeline.HistorySize()
-	s.stats.Committed += res.Committed
-	s.stats.Retries += res.Retries
-	s.stats.Defers += res.Defers
-	s.stats.UserAborts += res.UserAborts
-	s.stats.Canceled += res.Canceled
-	s.stats.Contended += res.Contended
-	s.stats.Expired += res.Expired
-	s.mu.Unlock()
-	// Push the bundle's responses onto the wire, then recycle. Flushing
-	// the same connection twice is a cheap no-op, so no dirty-set
-	// bookkeeping is needed.
-	for _, p := range batch {
-		p.conn.flush()
-	}
-	s.releaseBatch(batch)
-}
-
-// releaseBatch returns a bundle's pendings to the pool and drops the
-// workload's references so pooled transactions are not pinned by the
-// retained scaffolding.
-func (s *Server) releaseBatch(batch []*pending) {
-	for i, p := range batch {
-		if i < len(s.work) {
-			s.work[i] = nil
-		}
-		putPending(p)
-	}
+	tk.Release()
 }
 
 // count applies a mutation to the stats under the lock.
@@ -1008,25 +687,60 @@ func (s *Server) count(f func(*Stats)) {
 
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats {
-	s.admitMu.RLock()
-	draining := s.draining
-	s.admitMu.RUnlock()
+	rst := s.rt.Stats()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.stats
-	st.Draining = draining
-	st.QueueDepth = len(s.admit)
-	st.QueueCap = cap(s.admit)
-	st.RetryAfterMS = s.retryAfterMS()
-	if s.rt != nil {
-		s.mergeShardStats(&st)
+	s.mu.Unlock()
+	st.Draining = s.draining.Load()
+	st.Forfeited = s.forfeited.Load()
+	st.RetryAfterMS = s.rt.RetryAfterMS()
+	for _, sh := range rst.Shards {
+		st.Admitted += sh.Admitted
+		st.Rejected += sh.Rejected
+		st.QueueDepth += sh.QueueDepth
+		st.QueueCap += s.cfg.QueueDepth
+		st.Bundles += int(sh.Bundles)
+		st.ResultsStreamed += sh.Results
+		st.MaxOccupancy = max(st.MaxOccupancy, sh.MaxOccupancy)
+		st.HistoryRecords += sh.HistoryRecords
+		st.Committed += sh.Committed
+		st.Retries += sh.Retries
+		st.Defers += sh.Defers
+		st.UserAborts += sh.UserAborts
+		st.Canceled += sh.Canceled
+		st.Contended += sh.Contended
+		st.Expired += sh.Expired
+		st.Brownout = st.Brownout || sh.Brownout
+		st.BrownoutEnters += sh.BrownoutEnters
+		st.WALRecords += sh.WALRecords
+		st.WALFlushes += sh.WALFlushes
+		st.WALSyncs += sh.WALSyncs
+		st.WALBytes += sh.WALBytes
+		st.Checkpoints += sh.Checkpoints
+		st.CheckpointErrors += sh.CheckpointErrors
+		st.LastCheckpointLSN = max(st.LastCheckpointLSN, sh.LastCheckpointLSN)
+		st.TruncatedSegments += sh.TruncatedSegments
+		st.DedupHits += sh.DedupHits
+		st.DedupInflight += sh.DedupInflight
+		st.DedupSize += sh.DedupSize
 	}
-	if s.log != nil {
-		st.WALRecords, st.WALFlushes, st.WALSyncs = s.log.Counters()
-		st.WALBytes = s.log.AppendedBytes()
+	if st.Bundles > 0 {
+		st.MeanOccupancy = float64(st.ResultsStreamed) / float64(st.Bundles)
 	}
-	if s.dedup != nil {
-		st.DedupSize = s.dedup.Size()
+	// A 2PC commit is one committed transaction from the client's view;
+	// its per-shard sub-commits are not in the shard Committed counters
+	// (participant installs bypass the engines). Every decided 2PC
+	// outcome but a refusal (vote-no, prepare timeout) is a result.
+	tpc := rst.TwoPC
+	st.Committed += tpc.Committed
+	st.UserAborts += tpc.UserAborts
+	st.Rejected += tpc.Rejected
+	st.ResultsStreamed += tpc.Committed + tpc.Aborted - tpc.AbortedVote - tpc.AbortedTimeout
+	st.DedupHits += tpc.DedupHits
+	st.DedupInflight += tpc.DedupInflight
+	if s.cfg.Shards > 1 {
+		st.Shards = rst.Shards
+		st.TwoPC = &tpc
 	}
 	if d := s.cfg.Durability; d != nil && d.Replication != nil {
 		st.Replication = &ReplicationStats{Role: "primary", ShipperStats: d.Replication.Stats()}
@@ -1035,7 +749,6 @@ func (s *Server) Stats() Stats {
 		ls := lc.Stats()
 		st.Lease = &ls
 	}
-	// shed, breaker, and events are leaf-locked: safe under s.mu.
 	if s.shed != nil {
 		st.ShedLevel = s.shed.Level()
 	}
@@ -1044,22 +757,16 @@ func (s *Server) Stats() Stats {
 		st.BreakerTrips = s.breaker.Trips()
 	}
 	st.OverloadEvents = s.events.Snapshot()
-	if st.Bundles > 0 {
-		st.MeanOccupancy = float64(st.ResultsStreamed) / float64(st.Bundles)
-	}
 	if elapsed := time.Since(s.start); elapsed > 0 && st.Committed > 0 {
 		st.Throughput = float64(st.Committed) / elapsed.Seconds()
 	}
-	st.QueueWait = s.queueWait.Snapshot()
-	st.ExecLat = s.execLat.Snapshot()
+	st.QueueWait = rst.QueueWait
+	st.ExecLat = rst.ExecLat
 	return st
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.admitMu.RLock()
-	draining := s.draining
-	s.admitMu.RUnlock()
-	if draining {
+	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}

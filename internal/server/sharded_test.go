@@ -195,35 +195,41 @@ func TestShardedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestShardedDeadlineExpiresAtBundleFormation is the sharded twin of
-// TestDeadlineExpiresAtBundleFormation, and carries its ordering
-// assertion: a client that holds its response finds it counted —
-// by the unit (Expired) and by the serving layer (ResultsStreamed) —
-// because both count before the response is sent.
-func TestShardedDeadlineExpiresAtBundleFormation(t *testing.T) {
-	s, ycsb := startSharded(t, 2, func(c *Config) { c.FlushInterval = 50 * time.Millisecond })
+// TestShardedResultsAndLatencies: the sharded serving path keeps the
+// same books as the unsharded one. With a refusal-free load, every
+// answer is a result, counted once in ResultsStreamed, and every result
+// — unit bundle or 2PC — is timed in the queue-wait and (being a
+// commit) the exec-latency histogram.
+func TestShardedResultsAndLatencies(t *testing.T) {
+	const shards, n = 2, 200
+	s, ycsb := startSharded(t, shards, nil)
 	defer s.Shutdown(context.Background())
-
 	conn, err := client.DialPipelined(s.Addr(), client.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	reqs, _ := genShardedRequests(t, ycsb, 2, 1, 0, 43)
-	reqs[0].DeadlineMS = 1 // << 50ms flush interval
-	resp, err := conn.Submit(context.Background(), reqs[0])
-	if err != nil {
-		t.Fatal(err)
+	// One closed-loop client: nothing contends, so nothing is refused.
+	reqs, cross := genShardedRequests(t, ycsb, shards, n, 0.2, 61)
+	if cross == 0 {
+		t.Fatal("no cross-shard requests generated")
 	}
-	if resp.Status != client.StatusExpired {
-		t.Fatalf("status %q, want %q", resp.Status, client.StatusExpired)
+	for _, req := range reqs {
+		resp, err := conn.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Committed() {
+			t.Fatalf("status %q (%s)", resp.Status, resp.Error)
+		}
 	}
 	st := s.Stats()
-	if st.Expired != 1 || st.Committed != 0 {
-		t.Fatalf("expired=%d committed=%d, want 1/0", st.Expired, st.Committed)
+	if st.ResultsStreamed != n || st.QueueWait.Count != n || st.ExecLat.Count != n {
+		t.Errorf("results %d, queue-wait samples %d, exec-latency samples %d; want %d each",
+			st.ResultsStreamed, st.QueueWait.Count, st.ExecLat.Count, n)
 	}
-	if st.Admitted != 1 || st.ResultsStreamed != 1 || st.Forfeited != 0 {
-		t.Fatalf("admitted=%d results=%d forfeited=%d, want 1/1/0", st.Admitted, st.ResultsStreamed, st.Forfeited)
+	if st.TwoPC == nil || st.TwoPC.Committed != uint64(cross) {
+		t.Errorf("2PC stats %+v, want %d commits", st.TwoPC, cross)
 	}
 }
 
@@ -445,7 +451,7 @@ func TestConfigRejectsUnsupportedCombinations(t *testing.T) {
 		{"sharded without ShardDB", Config{Shards: 2}, "Config.ShardDB is required"},
 		{"durable without Dir", Config{DB: ycsb.BuildDB(), Durability: &DurabilityOptions{}}, "Dir is required"},
 		{"WrapSyncer, sharded", Config{Shards: 2, ShardDB: shardDB,
-			Durability: &DurabilityOptions{Dir: t.TempDir(), WrapSyncer: wrap}}, "WrapSyncer is not supported in sharded mode"},
+			Durability: &DurabilityOptions{Dir: t.TempDir(), WrapSyncer: wrap}}, ""},
 		{"WrapSyncer, unsharded", Config{DB: ycsb.BuildDB(),
 			Durability: &DurabilityOptions{Dir: t.TempDir(), WrapSyncer: wrap}}, ""},
 		{"WrapSyncer, Shards = 1", Config{Shards: 1, DB: ycsb.BuildDB(),

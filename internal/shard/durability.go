@@ -10,19 +10,22 @@ import (
 	"tskd/internal/wal"
 )
 
-// durability.go: the sharded data directory layout. Under the root:
+// durability.go: the data directory layout. A one-shard runtime keeps
+// its unit's wal-, ckpt- and dedup-<lsn>.dd files directly under the
+// root: one shard has no 2PC, so there is no coordinator log and no boot
+// record. With more shards, under the root:
 //
 //	<root>/coord/            the coordinator decision log (wal segments)
 //	<root>/shard-00/         shard 0: wal-, ckpt- and dedup-<lsn>.dd files
 //	<root>/shard-01/         shard 1 ...
 //
-// Each shard directory is exactly a single-shard server's data
-// directory — written, checkpointed and restored by the same
-// internal/durable code — plus prepare records in the log. Directories
-// written before the two stacks shared that code name their sidecars
-// dedup-<lsn>.dedup; recovery still reads them. The coordinator
-// directory holds only decision and boot records (no redo), so it stays
-// tiny and is never checkpointed or truncated.
+// Each shard directory is laid out exactly as a one-shard root —
+// written, checkpointed and restored by the same internal/durable code
+// — plus prepare records in the log. Directories written before the
+// layouts shared that code name their sidecars dedup-<lsn>.dedup;
+// recovery still reads them. The coordinator directory holds only
+// decision and boot records (no redo), so it stays tiny and is never
+// checkpointed or truncated.
 
 // Durability configures the sharded data directory.
 type Durability struct {
@@ -42,13 +45,19 @@ type Durability struct {
 	DedupWindow int
 	// NoSync skips fsync everywhere (tests only; crash safety is gone).
 	NoSync bool
+	// WrapSyncer, when set, decorates every shard log's fsync syncer —
+	// on the initial segment and again after every rotation. Fault
+	// injection only (the chaos harness stalls fsyncs through it);
+	// ignored under NoSync. The coordinator log keeps its own syncer.
+	WrapSyncer func(wal.Syncer) wal.Syncer
 	// Replication, when set, ships every log in the directory — each
 	// shard's WAL and the coordinator log — through this live shipper
 	// to a backup (internal/replica). Open registers one stream per
-	// directory (named by its relative path, so the backup mirrors the
-	// layout) before opening the log for appending, and stamps the
-	// shipper's fencing epoch on this incarnation's boot record. The
-	// runtime does not own the shipper: close it after Shutdown.
+	// directory (named by its relative path, "." for a one-shard root,
+	// so the backup mirrors the layout) before opening the log for
+	// appending, and stamps the shipper's fencing epoch on this
+	// incarnation's boot record. The runtime does not own the shipper:
+	// close it after Shutdown.
 	Replication *replica.Shipper
 	// FlushGate, when set, runs inside every log's flush path (each
 	// shard's WAL and the coordinator log) before the flush can
@@ -78,8 +87,17 @@ func (d *Durability) withDefaults() error {
 	return nil
 }
 
-func shardDir(root string, i int) string {
-	return filepath.Join(root, fmt.Sprintf("shard-%02d", i))
+// shardName is shard i's directory relative to the root: the root
+// itself when it is the only shard.
+func shardName(shards, i int) string {
+	if shards == 1 {
+		return "."
+	}
+	return fmt.Sprintf("shard-%02d", i)
+}
+
+func shardDir(root string, shards, i int) string {
+	return filepath.Join(root, shardName(shards, i))
 }
 
 func coordDir(root string) string { return filepath.Join(root, "coord") }

@@ -8,8 +8,9 @@ import (
 	"tskd/internal/wal"
 )
 
-// recovery.go: replaying a sharded data directory to a consistent cut.
-// The coordinator log is scanned first — it yields the committed
+// recovery.go: replaying a data directory to a consistent cut. A
+// one-shard root is its unit's directory and nothing else. With more
+// shards, the coordinator log is scanned first — it yields the committed
 // global-transaction set (presumed abort: absence means abort), the
 // boot count (the next incarnation's gid epoch), and the cross-shard
 // idempotency keys. Then each shard restores its newest valid
@@ -67,39 +68,18 @@ func Recover(root string, shards int, base func(i int) *storage.DB) (*RecoverSta
 		Committed: make(map[uint64]struct{}),
 	}
 	st.Info.Shards = make([]ShardRecovery, shards)
-	if err := os.MkdirAll(coordDir(root), 0o755); err != nil {
-		return nil, err
-	}
-
-	// Pass 1: the coordinator log. Only decisions and boots live here.
-	crossSeen := make(map[uint64]struct{})
-	next, _, err := wal.ReplayDir(coordDir(root), func(_ uint64, rec wal.Record) error {
-		switch rec.Kind {
-		case wal.RecordDecision:
-			st.Committed[uint64(rec.TxnID)] = struct{}{}
-			st.Info.CoordDecisions++
-			if rec.IdemKey != 0 {
-				if _, dup := crossSeen[rec.IdemKey]; !dup {
-					crossSeen[rec.IdemKey] = struct{}{}
-					st.CrossKeys = append(st.CrossKeys, rec.IdemKey)
-				}
-			}
-		case wal.RecordBoot:
-			st.Info.Boots++
+	if shards > 1 {
+		if err := st.replayCoord(root); err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	st.Info.CoordNextLSN = next
 
 	// Pass 2: each shard, independently: checkpoint + WAL tail through
 	// durable.Restore, with prepares parked for resolution.
 	for i := 0; i < shards; i++ {
 		pending := make(map[uint64][]wal.Update)
 		var pendingOrder []uint64
-		db, r, keys, err := durable.Restore(shardDir(root, i), func() *storage.DB { return base(i) }, func(_ uint64, rec wal.Record) {
+		db, r, keys, err := durable.Restore(shardDir(root, shards, i), func() *storage.DB { return base(i) }, func(_ uint64, rec wal.Record) {
 			if rec.Kind != wal.RecordPrepare {
 				return
 			}
@@ -131,4 +111,31 @@ func Recover(root string, shards int, base func(i int) *storage.DB) (*RecoverSta
 		st.ShardKeys[i] = keys
 	}
 	return st, nil
+}
+
+// replayCoord is pass 1: the coordinator log, where only decisions and
+// boots live.
+func (st *RecoverState) replayCoord(root string) error {
+	if err := os.MkdirAll(coordDir(root), 0o755); err != nil {
+		return err
+	}
+	crossSeen := make(map[uint64]struct{})
+	next, _, err := wal.ReplayDir(coordDir(root), func(_ uint64, rec wal.Record) error {
+		switch rec.Kind {
+		case wal.RecordDecision:
+			st.Committed[uint64(rec.TxnID)] = struct{}{}
+			st.Info.CoordDecisions++
+			if rec.IdemKey != 0 {
+				if _, dup := crossSeen[rec.IdemKey]; !dup {
+					crossSeen[rec.IdemKey] = struct{}{}
+					st.CrossKeys = append(st.CrossKeys, rec.IdemKey)
+				}
+			}
+		case wal.RecordBoot:
+			st.Info.Boots++
+		}
+		return nil
+	})
+	st.Info.CoordNextLSN = next
+	return err
 }

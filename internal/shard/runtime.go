@@ -14,6 +14,8 @@ import (
 	"tskd/internal/core"
 	"tskd/internal/durable"
 	"tskd/internal/history"
+	"tskd/internal/metrics"
+	"tskd/internal/overload"
 	"tskd/internal/partition"
 	"tskd/internal/replica"
 	"tskd/internal/storage"
@@ -49,9 +51,22 @@ type Config struct {
 	// commit (its participants' observations merged).
 	Core core.Options
 	// Durability, when non-nil, gives every shard its own WAL directory
-	// with checkpoint/dedup sidecars plus a coordinator decision log,
-	// and Open recovers all of them to a consistent cut first.
+	// with checkpoint/dedup sidecars plus (with more than one shard) a
+	// coordinator decision log, and Open recovers all of them to a
+	// consistent cut first.
 	Durability *Durability
+	// Shed, when set, is fed every bundle's minimum queue sojourn at
+	// formation (CoDel's standing-queue estimator), and a unit runs its
+	// bundles in brownout mode — no schedule refinement, more deferment
+	// — while the shedder is saturated. The caller makes the shed
+	// decisions; its hint also raises every rejection's retry-after.
+	Shed *overload.Shedder
+	// Breaker, when set, monitors every shard log's group flushes (the
+	// WAL-stall circuit breaker); its hint raises every rejection's
+	// retry-after. The caller consults Allow before submitting.
+	Breaker *overload.Breaker
+	// Events, when set, records the units' brownout transitions.
+	Events *overload.EventLog
 	// PrepareTimeout bounds a cross-shard prepare phase (default 2s),
 	// from the moment the prepares are sent: time held at the
 	// coordinator behind a conflicting transaction does not count.
@@ -139,6 +154,11 @@ type TwoPCStats struct {
 type Stats struct {
 	Shards []ShardStats `json:"shards"`
 	TwoPC  TwoPCStats   `json:"twopc"`
+	// QueueWait is admission to execution start of every transaction a
+	// unit bundle ran, and the coordinator hold of every 2PC commit or
+	// user abort; ExecLat is the execution time of every commit.
+	QueueWait metrics.HistogramSnapshot `json:"queue_wait"`
+	ExecLat   metrics.HistogramSnapshot `json:"exec_latency"`
 }
 
 // Runtime is a running multi-shard execution layer.
@@ -176,6 +196,10 @@ type Runtime struct {
 
 	tmu sync.Mutex
 	tpc TwoPCStats
+
+	hmu       sync.Mutex // guards the two histograms
+	queueWait metrics.Histogram
+	execLat   metrics.Histogram
 }
 
 // Open validates cfg, recovers the data directory (when durable) to a
@@ -193,6 +217,7 @@ func Open(cfg Config) (*Runtime, error) {
 		router:   Router{Shards: cfg.Shards},
 		crossSem: make(chan struct{}, cfg.MaxCross),
 		drainCh:  make(chan struct{}),
+		gidEpoch: 1,
 		runCtx:   runCtx, runCancel: cancel,
 	}
 
@@ -225,41 +250,16 @@ func Open(cfg Config) (*Runtime, error) {
 			cancel()
 			return nil, err
 		}
-		// Open the coordinator log and stamp this incarnation: the boot
-		// record's epoch keeps global transaction ids unique across
-		// restarts, so a recovered prepare can never alias a new one.
-		// The replica epoch rides in the boot record's IdemKey (the
-		// coordinator replay ignores it; audits read it), so the log
-		// itself records which fencing epoch wrote each suffix.
-		coordOpts := wal.DirOptions{
-			GroupWindow: d.GroupWindow, SegmentBytes: d.SegmentBytes,
-			StartLSN: st.Info.CoordNextLSN, NoSync: d.NoSync,
-			FlushGate: d.FlushGate,
-		}
-		if d.Replication != nil {
-			stream, serr := d.Replication.Stream("coord", coordDir(d.Dir))
-			if serr != nil {
+		if cfg.Shards > 1 {
+			if err := rt.openCoord(d, st.Info); err != nil {
 				cancel()
-				return nil, serr
+				return nil, err
 			}
-			coordOpts.Shipper = stream
-		}
-		rt.coordLog, err = wal.OpenDir(coordDir(d.Dir), coordOpts)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		rt.gidEpoch = uint64(st.Info.Boots) + 1
-		if err := rt.coordLog.Append(wal.Record{TxnID: int64(rt.gidEpoch), IdemKey: rt.replicaEpoch, Kind: wal.RecordBoot}); err != nil {
-			rt.coordLog.Close()
-			cancel()
-			return nil, err
 		}
 	} else {
 		for i := range dbs {
 			dbs[i] = cfg.DB(i)
 		}
-		rt.gidEpoch = 1
 	}
 	rt.coordDedup = durable.NewWindow(dedupLimit)
 	rt.coordDedup.Restore(crossKeys...)
@@ -268,7 +268,7 @@ func Open(cfg Config) (*Runtime, error) {
 	for i := range rt.units {
 		u := &unit{
 			id: i, rt: rt, db: dbs[i],
-			in:       make(chan *task, cfg.QueueDepth),
+			in:       make(chan *Task, cfg.QueueDepth),
 			ops:      make(chan *shardOp, 2*cfg.MaxCross+8),
 			indoubt:  make(map[uint64]*indoubtTxn),
 			keyDoubt: make(map[txn.Key]uint64),
@@ -278,13 +278,14 @@ func Open(cfg Config) (*Runtime, error) {
 		u.stats.Shard = i
 		u.dedup.Restore(keys[i]...)
 		if d := cfg.Durability; d != nil {
+			dir := shardDir(d.Dir, cfg.Shards, i)
 			unitOpts := wal.DirOptions{
 				GroupWindow: d.GroupWindow, SegmentBytes: d.SegmentBytes,
 				StartLSN: nextLSN[i], NoSync: d.NoSync,
-				FlushGate: d.FlushGate,
+				FlushGate: d.FlushGate, WrapSyncer: d.WrapSyncer,
 			}
 			if d.Replication != nil {
-				stream, serr := d.Replication.Stream(fmt.Sprintf("shard-%02d", i), shardDir(d.Dir, i))
+				stream, serr := d.Replication.Stream(shardName(cfg.Shards, i), dir)
 				if serr != nil {
 					rt.closeLogs()
 					cancel()
@@ -292,14 +293,17 @@ func Open(cfg Config) (*Runtime, error) {
 				}
 				unitOpts.Shipper = stream
 			}
-			log, err := wal.OpenDir(shardDir(d.Dir, i), unitOpts)
+			log, err := wal.OpenDir(dir, unitOpts)
 			if err != nil {
 				rt.closeLogs()
 				cancel()
 				return nil, err
 			}
+			if cfg.Breaker != nil {
+				log.SetMonitor(cfg.Breaker)
+			}
 			u.log = log
-			u.ckpt = durable.NewCheckpointer(shardDir(d.Dir, i), log, d.CheckpointBytes, !d.NoSync)
+			u.ckpt = durable.NewCheckpointer(dir, log, d.CheckpointBytes, !d.NoSync)
 		}
 		opts := cfg.Core
 		opts.TraceSpans = true // per-transaction outcomes come from spans
@@ -320,6 +324,38 @@ func Open(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
+// openCoord opens the coordinator log and stamps this incarnation: the
+// boot record's epoch keeps global transaction ids unique across
+// restarts, so a recovered prepare can never alias a new one. The
+// replica epoch rides in the boot record's IdemKey (the coordinator
+// replay ignores it; audits read it), so the log itself records which
+// fencing epoch wrote each suffix.
+func (rt *Runtime) openCoord(d *Durability, info RecoveryInfo) error {
+	opts := wal.DirOptions{
+		GroupWindow: d.GroupWindow, SegmentBytes: d.SegmentBytes,
+		StartLSN: info.CoordNextLSN, NoSync: d.NoSync,
+		FlushGate: d.FlushGate,
+	}
+	if d.Replication != nil {
+		stream, err := d.Replication.Stream("coord", coordDir(d.Dir))
+		if err != nil {
+			return err
+		}
+		opts.Shipper = stream
+	}
+	log, err := wal.OpenDir(coordDir(d.Dir), opts)
+	if err != nil {
+		return err
+	}
+	rt.gidEpoch = uint64(info.Boots) + 1
+	if err := log.Append(wal.Record{TxnID: int64(rt.gidEpoch), IdemKey: rt.replicaEpoch, Kind: wal.RecordBoot}); err != nil {
+		log.Close()
+		return err
+	}
+	rt.coordLog = log
+	return nil
+}
+
 // Recovery reports what startup recovery found (zero when the runtime
 // is not durable or the directory was fresh).
 func (rt *Runtime) Recovery() RecoveryInfo { return rt.recovery }
@@ -336,15 +372,16 @@ func (rt *Runtime) DB(i int) *storage.DB { return rt.units[i].db }
 func (rt *Runtime) Router() Router { return rt.router }
 
 // Replier receives a submitted transaction's outcome. Reply is called
-// exactly once (Seq left zero: the caller stamps its own) and may
-// buffer; the runtime calls Flush after it. Answers given outside a
-// bundle — dedup hits, rejections, 2PC outcomes — are flushed at once.
-// A shard unit replies to a whole bundle first and then flushes each
-// transaction's Replier, so a connection with several transactions in
-// the bundle is written once; Flush must therefore be cheap when there
-// is nothing left to push. Reply may run synchronously inside Submit
-// or later from a shard or coordinator goroutine; it must not block
-// for long.
+// exactly once, with Seq set to the seq the task was served under (0
+// from Submit), and may buffer; the runtime calls Flush after it.
+// Answers given outside a bundle — dedup hits, rejections, expiries at
+// formation, 2PC outcomes — are flushed at once. A shard unit replies
+// to a whole bundle first and then flushes each transaction's Replier,
+// so a connection with several transactions in the bundle is written
+// once; Flush must therefore be cheap when there is nothing left to
+// push. Reply may run synchronously inside Serve or later from a shard
+// or coordinator goroutine; it must not block for long. One Replier may
+// serve many tasks at once (a connection's writer does).
 type Replier interface {
 	Reply(client.Response)
 	Flush()
@@ -357,54 +394,119 @@ type replyFunc func(client.Response)
 func (f replyFunc) Reply(resp client.Response) { f(resp) }
 func (replyFunc) Flush()                       {}
 
-// answer replies and flushes at once: the path for every answer that is
-// not part of a unit bundle.
-func answer(r Replier, resp client.Response) {
-	r.Reply(resp)
-	r.Flush()
+// Task is one submission on its way through a unit bundle or a 2PC
+// coordinator. Tasks are pooled, and a task from NewTask owns its
+// transaction, so serving allocates neither in steady state. Ownership
+// moves with the task: the caller owns it from NewTask until Serve (or
+// Release), the runtime from Serve until the answer has been replied
+// and flushed and nothing reads the transaction any more, when the
+// runtime recycles it.
+type Task struct {
+	own      txn.Transaction
+	t        *txn.Transaction // &own, or Submit's caller-owned transaction
+	seq      uint64
+	r        Replier
+	enqueued time.Time
+}
+
+var taskPool = sync.Pool{
+	New: func() any {
+		tk := &Task{}
+		tk.t = &tk.own
+		return tk
+	},
+}
+
+// NewTask returns a pooled task; fill its transaction (Txn) and Serve
+// it, or Release it.
+func NewTask() *Task { return taskPool.Get().(*Task) }
+
+// borrow wraps a caller-owned transaction in a pooled task.
+func borrow(t *txn.Transaction) *Task {
+	tk := NewTask()
+	tk.t = t
+	return tk
+}
+
+// Txn is the task's transaction.
+func (tk *Task) Txn() *txn.Transaction { return tk.t }
+
+// Release recycles tk. The runtime calls it once a served task has been
+// answered; a caller calls it only for a task it never served. The
+// owned transaction keeps its Ops, Params and access-set capacity
+// (params are pointer-free, so retaining the array pins no request
+// memory) but drops the template reference.
+func (tk *Task) Release() {
+	if tk.t == &tk.own {
+		tk.own.Template = ""
+		tk.own.Params = tk.own.Params[:0]
+	} else {
+		tk.t = &tk.own
+	}
+	tk.r = nil
+	taskPool.Put(tk)
+}
+
+// reply answers tk at once: the path for every answer that is not part
+// of a unit bundle.
+func (tk *Task) reply(resp client.Response) {
+	resp.Seq = tk.seq
+	tk.r.Reply(resp)
+	tk.r.Flush()
+}
+
+// answer replies and recycles tk.
+func (tk *Task) answer(resp client.Response) {
+	tk.reply(resp)
+	tk.Release()
 }
 
 // Submit routes t by key ownership and eventually calls done exactly
-// once with the outcome; see Replier for when and where.
+// once with the outcome; see Replier for when and where. The caller
+// keeps ownership of t but must not touch it before done runs.
 func (rt *Runtime) Submit(t *txn.Transaction, done func(client.Response)) {
-	rt.SubmitTo(t, replyFunc(done))
+	rt.Serve(borrow(t), 0, replyFunc(done))
 }
 
-// SubmitTo is Submit with a Replier, for callers that buffer replies
-// and push them once per bundle.
-func (rt *Runtime) SubmitTo(t *txn.Transaction, r Replier) {
-	if t.HasScan() && rt.cfg.Shards > 1 {
-		answer(r, client.Response{Status: client.StatusError,
-			Error: "range scans are not supported on a sharded runtime"})
-		return
-	}
-	mask := rt.router.ParticipantMask(t)
-	if mask&(mask-1) == 0 { // one shard, or no operations at all (homes to 0)
-		home := 0
-		if mask != 0 {
+// Serve routes tk's transaction by key ownership and answers it through
+// r under seq. The runtime owns tk from here (see Task).
+func (rt *Runtime) Serve(tk *Task, seq uint64, r Replier) {
+	tk.seq, tk.r = seq, r
+	home := 0
+	if rt.cfg.Shards > 1 {
+		if tk.t.HasScan() {
+			tk.answer(client.Response{Status: client.StatusError,
+				Error: "range scans are not supported on a sharded runtime"})
+			return
+		}
+		mask := rt.router.ParticipantMask(tk.t)
+		if mask&(mask-1) != 0 {
+			rt.submitCross(tk)
+			return
+		}
+		if mask != 0 { // no operations at all homes to 0
 			home = bits.TrailingZeros64(mask)
 		}
-		rt.submitLocal(rt.units[home], t, r)
-		return
 	}
-	rt.submitCross(t, r)
+	rt.submitLocal(rt.units[home], tk)
 }
 
-func (rt *Runtime) submitLocal(u *unit, t *txn.Transaction, r Replier) {
+func (rt *Runtime) submitLocal(u *unit, tk *Task) {
+	t := tk.t
 	if t.IdemKey != 0 {
 		switch state, cached := u.dedup.Begin(t.IdemKey); state {
 		case durable.Hit:
 			cached.Duplicate = true
 			u.count(func(s *ShardStats) { s.DedupHits++ })
-			answer(r, cached)
+			tk.answer(cached)
 			return
 		case durable.Inflight:
 			u.count(func(s *ShardStats) { s.DedupInflight++ })
-			answer(r, client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(u)})
+			tk.answer(client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(u)})
 			return
 		}
 	}
-	tk := &task{t: t, r: r, enqueued: time.Now()}
+	tk.enqueued = time.Now()
 	rt.admitMu.RLock()
 	admitted := false
 	if !rt.draining {
@@ -423,20 +525,21 @@ func (rt *Runtime) submitLocal(u *unit, t *txn.Transaction, r Replier) {
 		u.dedup.Release(t.IdemKey)
 	}
 	u.count(func(s *ShardStats) { s.Rejected++ })
-	answer(r, client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(u)})
+	tk.answer(client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(u)})
 }
 
-func (rt *Runtime) submitCross(t *txn.Transaction, r Replier) {
+func (rt *Runtime) submitCross(tk *Task) {
+	t := tk.t
 	if t.IdemKey != 0 {
 		switch state, cached := rt.coordDedup.Begin(t.IdemKey); state {
 		case durable.Hit:
 			cached.Duplicate = true
 			rt.countTPC(func(s *TwoPCStats) { s.DedupHits++ })
-			answer(r, cached)
+			tk.answer(cached)
 			return
 		case durable.Inflight:
 			rt.countTPC(func(s *TwoPCStats) { s.DedupInflight++ })
-			answer(r, client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(nil)})
+			tk.answer(client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(nil)})
 			return
 		}
 	}
@@ -446,7 +549,7 @@ func (rt *Runtime) submitCross(t *txn.Transaction, r Replier) {
 			rt.coordDedup.Release(t.IdemKey)
 		}
 		rt.countTPC(func(s *TwoPCStats) { s.Started++; s.Aborted++ })
-		answer(r, client.Response{Status: client.StatusExpired})
+		tk.answer(client.Response{Status: client.StatusExpired})
 		return
 	}
 	rt.admitMu.RLock()
@@ -465,7 +568,7 @@ func (rt *Runtime) submitCross(t *txn.Transaction, r Replier) {
 			rt.coordDedup.Release(t.IdemKey)
 		}
 		rt.countTPC(func(s *TwoPCStats) { s.Rejected++ })
-		answer(r, client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(nil)})
+		tk.answer(client.Response{Status: client.StatusRejected, RetryAfterMS: rt.retryAfterMS(nil)})
 		return
 	}
 	// Arrival order in the hold table is Submit order: queue on the
@@ -475,7 +578,7 @@ func (rt *Runtime) submitCross(t *txn.Transaction, r Replier) {
 	if !rt.hold.enqueue(h) {
 		queued = time.Now()
 	}
-	go rt.runTwoPC(t, h, queued, r)
+	go rt.runTwoPC(tk, h, queued)
 }
 
 // runTwoPC is one coordinator. h is the transaction's place in the hold
@@ -484,14 +587,17 @@ func (rt *Runtime) submitCross(t *txn.Transaction, r Replier) {
 // shares a key. Then prepare every participant, decide, make a commit
 // decision durable, hand the decision to the participants, release the
 // keys, and acknowledge. Runs on its own goroutine; the Coord state
-// machine (twopc.go) makes the decision.
+// machine (twopc.go) makes the decision. The task is recycled only when
+// the coordinator returns.
 //
 // Because overlapping transactions are ordered here, participants see
 // overlapping prepares only when something else went wrong; their
 // wait-free vote-no stays as the safety net for that, and for missing
 // rows, log failures and timeouts.
-func (rt *Runtime) runTwoPC(t *txn.Transaction, h *holder, queued time.Time, r Replier) {
+func (rt *Runtime) runTwoPC(tk *Task, h *holder, queued time.Time) {
 	defer func() { <-rt.crossSem; rt.crossWG.Done() }()
+	defer tk.Release()
+	t := tk.t
 	finish := func(resp client.Response) {
 		if t.IdemKey != 0 {
 			if resp.Status == client.StatusCommit {
@@ -500,7 +606,7 @@ func (rt *Runtime) runTwoPC(t *txn.Transaction, h *holder, queued time.Time, r R
 				rt.coordDedup.Release(t.IdemKey)
 			}
 		}
-		answer(r, resp)
+		tk.reply(resp)
 	}
 
 	dispatched, waited := true, !queued.IsZero()
@@ -590,7 +696,8 @@ func (rt *Runtime) runTwoPC(t *txn.Transaction, h *holder, queued time.Time, r R
 	// BenchmarkCrossShardHotKey.)
 	rt.hold.drop(h)
 
-	resp := client.Response{QueueUS: held.Microseconds(), ExecUS: time.Since(start).Microseconds()}
+	exec := time.Since(start)
+	resp := client.Response{QueueUS: held.Microseconds(), ExecUS: exec.Microseconds()}
 	switch {
 	case commit:
 		resp.Status = client.StatusCommit
@@ -606,6 +713,16 @@ func (rt *Runtime) runTwoPC(t *txn.Transaction, h *holder, queued time.Time, r R
 		resp.Status = client.StatusRejected
 		resp.RetryAfterMS = rt.retryAfterMS(nil)
 		rt.countTPC(func(s *TwoPCStats) { s.Aborted++; s.AbortedVote++ })
+	}
+	if resp.Status != client.StatusRejected {
+		// An executed outcome: timed like a unit bundle's transactions,
+		// the hold as its queue wait.
+		rt.hmu.Lock()
+		rt.queueWait.Record(held)
+		if commit {
+			rt.execLat.Record(exec)
+		}
+		rt.hmu.Unlock()
 	}
 	// Acknowledge as soon as the decision is durable; installation
 	// happens under the participants' key quiescence, so no later
@@ -650,14 +767,36 @@ func subPlans(ops []txn.Op, r Router) (parts []int, plans [][]txn.Op) {
 }
 
 // retryAfterMS is the backoff hint for a rejection: the flush interval
-// scaled by the target shard's queue occupancy (u nil for cross-shard
-// rejections, which use the base hint).
+// (plus one tick) scaled by how many full bundles already wait in the
+// target shard's queue (u nil for cross-shard rejections, which use the
+// base hint), so the hint grows with the backlog a retrying client is
+// behind. When the breaker is open or the shedder engaged, their own
+// hints take over if larger — there is no point retrying sooner than
+// the WAL can recover or the backlog can drain.
 func (rt *Runtime) retryAfterMS(u *unit) int64 {
-	base := rt.cfg.FlushInterval.Milliseconds() + 1
-	if u == nil {
-		return base
+	ms := rt.cfg.FlushInterval.Milliseconds() + 1
+	if u != nil {
+		ms *= int64(1 + len(u.in)/rt.cfg.Bundle)
 	}
-	return base * int64(1+len(u.in)/rt.cfg.Bundle)
+	if b := rt.cfg.Breaker; b != nil {
+		ms = max(ms, b.RetryAfter().Milliseconds())
+	}
+	if s := rt.cfg.Shed; s != nil {
+		ms = max(ms, s.Backoff().Milliseconds())
+	}
+	return ms
+}
+
+// RetryAfterMS is the backoff hint a rejection would carry right now,
+// at the deepest shard queue.
+func (rt *Runtime) RetryAfterMS() int64 {
+	deepest := rt.units[0]
+	for _, u := range rt.units[1:] {
+		if len(u.in) > len(deepest.in) {
+			deepest = u
+		}
+	}
+	return rt.retryAfterMS(deepest)
 }
 
 func (rt *Runtime) countTPC(f func(*TwoPCStats)) {
@@ -681,6 +820,10 @@ func (rt *Runtime) Stats() Stats {
 	tpc.Prepared = st.TwoPC.Prepared
 	tpc.InDoubt = inDoubt
 	st.TwoPC = tpc
+	rt.hmu.Lock()
+	st.QueueWait = rt.queueWait.Snapshot()
+	st.ExecLat = rt.execLat.Snapshot()
+	rt.hmu.Unlock()
 	return st
 }
 

@@ -170,7 +170,7 @@ func TestUnitRepliesToBundleThenFlushes(t *testing.T) {
 	for i := 0; i < n; i++ {
 		k := keyOn(rt.Router(), 0, row)
 		row = k.Row() + 1
-		rt.SubmitTo(txn.New(0).U(k, 1), loggedReplier{log: log, id: i})
+		rt.Serve(borrow(txn.New(0).U(k, 1)), 0, loggedReplier{log: log, id: i})
 	}
 	waitFor(t, "the bundle's flushes", func() bool {
 		log.mu.Lock()
@@ -495,7 +495,7 @@ func TestRecoveryPresumedAbort(t *testing.T) {
 	k := keyOn(Router{Shards: 2}, 0, 0)
 	gid := uint64(1)<<32 | 77
 
-	log, err := wal.OpenDir(shardDir(root, 0), wal.DirOptions{NoSync: true})
+	log, err := wal.OpenDir(shardDir(root, 2, 0), wal.DirOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestRecoveryResolvesCommittedPrepare(t *testing.T) {
 	k := keyOn(Router{Shards: 2}, 0, 0)
 	gid := uint64(1)<<32 | 78
 
-	log, err := wal.OpenDir(shardDir(root, 0), wal.DirOptions{NoSync: true})
+	log, err := wal.OpenDir(shardDir(root, 2, 0), wal.DirOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

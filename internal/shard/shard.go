@@ -1,13 +1,19 @@
-// Package shard is the multi-shard runtime: the paper's shared-nothing
-// generalization of TsPAR (Section 3, Limitations (3)) executed for
-// real rather than modeled in virtual time.
+// Package shard is the execution runtime of the serving layer: the
+// paper's bundled TsPAR execution (Section 2.1) and its shared-nothing
+// generalization (Section 3, Limitations (3)), executed for real rather
+// than modeled in virtual time.
 //
 // The key space is hash-partitioned over N independent engine
-// instances. Each shard owns its slice exclusively: its own store, its
-// own redo WAL directory with checkpoint and dedup sidecars, its own
-// TsPAR bundling loop over a core.Pipeline — a single-shard
-// transaction flows through exactly the machinery a 1-shard server
-// runs, just confined to the shard that owns its keys.
+// instances, units. Each unit owns its slice exclusively: its own store,
+// its own redo WAL directory with checkpoint and dedup sidecars, its own
+// bounded admission queue and TsPAR bundling loop over a core.Pipeline,
+// where transactions whose deadline passed while they queued are
+// dropped and the overload controller is fed. An unsharded server is a
+// one-unit Runtime over a flat data directory, so a single-shard
+// transaction flows through exactly the machinery an unsharded server
+// runs, just confined to the shard that owns its keys. Submissions are
+// pooled Tasks that own their transaction; each is answered through a
+// Replier, buffered for a whole bundle and flushed once per bundle.
 //
 // Cross-shard transactions are the residual. They commit through a
 // coordinator-driven two-phase commit over the shards' operation

@@ -15,32 +15,43 @@ import (
 	"tskd/internal/wal"
 )
 
-// unit.go: one shard's execution loop. A single goroutine owns the
-// shard's store: it alternates between running TsPAR bundles of
-// single-shard transactions through the shard's core.Pipeline and
-// servicing 2PC participant operations (prepare sub-plans, install or
-// discard decisions) from the coordinator goroutines. Because both
-// happen on the same goroutine, a prepare always executes against a
-// quiescent store — no bundle is mid-flight — and never races a local
-// transaction.
+// unit.go: one shard's execution loop, the only bundling loop there
+// is. A single goroutine owns the shard's store: it alternates between
+// running TsPAR bundles of single-shard transactions through the
+// shard's core.Pipeline and servicing 2PC participant operations
+// (prepare sub-plans, install or discard decisions) from the
+// coordinator goroutines. Because both happen on the same goroutine, a
+// prepare always executes against a quiescent store — no bundle is
+// mid-flight — and never races a local transaction. At bundle
+// formation the unit drops transactions whose deadline passed while
+// they queued and feeds the shedder; between bundles it checkpoints.
 
 // ShardStats are one shard's counters.
 type ShardStats struct {
 	Shard int `json:"shard"`
-	// Admission and bundle outcomes (mirroring the serving layer).
-	Admitted   uint64 `json:"admitted"`
-	Rejected   uint64 `json:"rejected"`
-	Bundles    uint64 `json:"bundles"`
-	Committed  uint64 `json:"committed"`
-	Retries    uint64 `json:"retries"`
-	Defers     uint64 `json:"defers"`
-	UserAborts uint64 `json:"user_aborts"`
-	Canceled   uint64 `json:"canceled"`
-	Expired    uint64 `json:"expired"`
-	Contended  uint64 `json:"contended"`
+	// Admission and bundle outcomes. Results counts the answers of
+	// admitted transactions: executed outcomes plus expiries at bundle
+	// formation (Expired counts both those and the engine's drops).
+	Admitted       uint64 `json:"admitted"`
+	Rejected       uint64 `json:"rejected"`
+	Bundles        uint64 `json:"bundles"`
+	Results        uint64 `json:"results"`
+	MaxOccupancy   int    `json:"max_bundle_occupancy"`
+	HistoryRecords int    `json:"history_records"`
+	Committed      uint64 `json:"committed"`
+	Retries        uint64 `json:"retries"`
+	Defers         uint64 `json:"defers"`
+	UserAborts     uint64 `json:"user_aborts"`
+	Canceled       uint64 `json:"canceled"`
+	Expired        uint64 `json:"expired"`
+	Contended      uint64 `json:"contended"`
 	// Parked counts local transactions deferred because they overlapped
 	// an in-doubt prepare's keys.
 	Parked uint64 `json:"parked"`
+	// Brownout is whether the unit runs its bundles degraded right now;
+	// BrownoutEnters counts how often it went into that mode.
+	Brownout       bool   `json:"brownout"`
+	BrownoutEnters uint64 `json:"brownout_enters"`
 	// 2PC participant counters: yes-votes, no-votes, and decisions
 	// installed or discarded on this shard.
 	CrossPrepared  uint64 `json:"cross_prepared"`
@@ -64,13 +75,6 @@ type ShardStats struct {
 	DedupSize     int    `json:"dedup_size"`
 	// QueueDepth is the admission queue's current occupancy (gauge).
 	QueueDepth int `json:"queue_depth"`
-}
-
-// task is one admitted single-shard transaction awaiting its bundle.
-type task struct {
-	t        *txn.Transaction
-	r        Replier
-	enqueued time.Time
 }
 
 type opKind uint8
@@ -117,7 +121,7 @@ type unit struct {
 	ckpt     *durable.Checkpointer // nil when not durable
 	dedup    *durable.Window
 
-	in  chan *task
+	in  chan *Task
 	ops chan *shardOp
 
 	// Loop-owned state (no locks needed).
@@ -128,11 +132,12 @@ type unit struct {
 	// prepares fill again.
 	stageIdx  map[txn.Key]int
 	freeDoubt []*indoubtTxn
-	parked    []*task
-	batch     []*task
+	parked    []*Task
+	batch     []*Task
 	work      txn.Workload
 	spans     []engine.ExecSpan
 	haveSpan  []bool
+	brownout  bool
 
 	indoubtN atomic.Int64
 
@@ -183,7 +188,7 @@ func (u *unit) run() {
 // collect gathers a bundle — first (may be nil) plus whatever arrives
 // until the bundle target or the flush interval — servicing participant
 // operations as they come, then executes it.
-func (u *unit) collect(first *task) {
+func (u *unit) collect(first *Task) {
 	batch := u.batch[:0]
 	if first != nil {
 		batch = append(batch, first)
@@ -244,7 +249,7 @@ func (u *unit) finalDrain() {
 				if tk.t.IdemKey != 0 {
 					u.dedup.Release(tk.t.IdemKey)
 				}
-				answer(tk.r, client.Response{Status: client.StatusCanceled})
+				tk.answer(client.Response{Status: client.StatusCanceled})
 			}
 			u.parked = nil
 			u.maybeCheckpoint()
@@ -265,7 +270,7 @@ func (u *unit) anyParkedReady() bool {
 }
 
 // unparkReady moves no-longer-quiesced parked transactions into batch.
-func (u *unit) unparkReady(batch []*task) []*task {
+func (u *unit) unparkReady(batch []*Task) []*Task {
 	if len(u.parked) == 0 {
 		return batch
 	}
@@ -293,10 +298,14 @@ func (u *unit) overlapsInDoubt(t *txn.Transaction) bool {
 	return false
 }
 
-// runBundle mirrors the serving layer's bundle execution: park
-// transactions quiesced by in-doubt prepares, renumber densely, run
-// the pipeline, and answer each transaction from its execution span.
-func (u *unit) runBundle(batch []*task) {
+// runBundle drops the transactions that expired while they queued,
+// parks those quiesced by in-doubt prepares, renumbers the rest
+// densely, runs the pipeline, answers each transaction from its
+// execution span, and recycles the tasks. Answers are buffered per
+// Replier and flushed once at the bundle boundary — one write per
+// connection per bundle.
+func (u *unit) runBundle(batch []*Task) {
+	batch = u.dropExpired(batch)
 	if len(u.keyDoubt) != 0 {
 		run := batch[:0]
 		for _, tk := range batch {
@@ -322,14 +331,19 @@ func (u *unit) runBundle(batch []*task) {
 	execStart := time.Now()
 	res, err := u.pipeline.ProcessContext(u.rt.runCtx, w)
 	if err != nil {
-		for _, tk := range batch {
+		// Unreachable with a validated Config; fail the batch loudly
+		// rather than dropping it.
+		for i, tk := range batch {
 			if tk.t.IdemKey != 0 {
 				u.dedup.Release(tk.t.IdemKey)
 			}
-			answer(tk.r, client.Response{Status: client.StatusError, Error: err.Error()})
+			w[i] = nil
+			tk.answer(client.Response{Status: client.StatusError, Error: err.Error()})
 		}
 		return
 	}
+	// Transaction IDs are dense 0..len(batch)-1, so span lookup is a
+	// slice index, not a map.
 	if cap(u.spans) < len(batch) {
 		u.spans = make([]engine.ExecSpan, len(batch))
 		u.haveSpan = make([]bool, len(batch))
@@ -343,10 +357,21 @@ func (u *unit) runBundle(batch []*task) {
 			spans[sp.TxnID], have[sp.TxnID] = sp, true
 		}
 	}
-	// Count before answering, as the unsharded server does: a client
-	// that has its response must find the commit in Stats.
+	// Count and time before answering: a client that has its response
+	// must find it in Stats.
+	u.rt.hmu.Lock()
+	for _, tk := range batch {
+		u.rt.queueWait.Record(execStart.Sub(tk.enqueued))
+		if have[tk.t.ID] {
+			u.rt.execLat.Record(spans[tk.t.ID].End - spans[tk.t.ID].Start)
+		}
+	}
+	u.rt.hmu.Unlock()
 	u.count(func(s *ShardStats) {
 		s.Bundles++
+		s.Results += uint64(len(batch))
+		s.MaxOccupancy = max(s.MaxOccupancy, len(batch))
+		s.HistoryRecords = u.pipeline.HistorySize()
 		s.Committed += res.Committed
 		s.Retries += res.Retries
 		s.Defers += res.Defers
@@ -357,7 +382,7 @@ func (u *unit) runBundle(batch []*task) {
 	})
 	respNow := time.Now()
 	for _, tk := range batch {
-		resp := client.Response{Bundle: bundleNo}
+		resp := client.Response{Seq: tk.seq, Bundle: bundleNo}
 		resp.QueueUS = execStart.Sub(tk.enqueued).Microseconds()
 		switch {
 		case have[tk.t.ID]:
@@ -368,6 +393,8 @@ func (u *unit) runBundle(batch []*task) {
 		case tk.t.UserAbort:
 			resp.Status = client.StatusAbort
 		case !tk.t.Deadline.IsZero() && respNow.After(tk.t.Deadline):
+			// No span, no user abort, deadline passed: the engine
+			// dropped it (before its first attempt or between retries).
 			resp.Status = client.StatusExpired
 		default:
 			resp.Status = client.StatusCanceled
@@ -383,11 +410,68 @@ func (u *unit) runBundle(batch []*task) {
 		}
 		tk.r.Reply(resp)
 	}
-	// Push the bundle's answers: one write per connection, since a
-	// Replier whose connection was already flushed has nothing left.
-	for _, tk := range batch {
+	// Push the bundle's answers — one write per connection, since a
+	// Replier whose connection was already flushed has nothing left —
+	// then recycle the tasks, dropping the workload's references so the
+	// retained scaffolding pins no pooled transaction.
+	for i, tk := range batch {
 		tk.r.Flush()
+		w[i] = nil
+		tk.Release()
 	}
+}
+
+// dropExpired runs at bundle formation: it answers and removes
+// transactions whose deadline passed while they queued, and feeds the
+// batch's minimum queue sojourn — CoDel's standing-queue estimator — to
+// the shedder, toggling brownout when the controller crosses half
+// intensity. The drops count as results: admissions answered, just not
+// by executing.
+func (u *unit) dropExpired(batch []*Task) []*Task {
+	now := time.Now()
+	minSojourn := time.Duration(-1)
+	live := batch[:0]
+	for _, tk := range batch {
+		if so := now.Sub(tk.enqueued); minSojourn < 0 || so < minSojourn {
+			minSojourn = so
+		}
+		if tk.t.Deadline.IsZero() || !now.After(tk.t.Deadline) {
+			live = append(live, tk)
+			continue
+		}
+		if tk.t.IdemKey != 0 {
+			u.dedup.Release(tk.t.IdemKey)
+		}
+		u.count(func(s *ShardStats) { s.Expired++; s.Results++ })
+		tk.answer(client.Response{Status: client.StatusExpired})
+	}
+	if shed := u.rt.cfg.Shed; shed != nil && minSojourn >= 0 {
+		shed.Observe(minSojourn)
+		u.setBrownout(shed.Saturated())
+	}
+	return live
+}
+
+// setBrownout flips degraded bundle processing on saturation changes.
+func (u *unit) setBrownout(on bool) {
+	if on == u.brownout {
+		return
+	}
+	u.brownout = on
+	u.pipeline.SetBrownout(on)
+	if ev := u.rt.cfg.Events; ev != nil {
+		detail := "exit"
+		if on {
+			detail = "enter"
+		}
+		ev.Record(time.Now(), "brownout", detail)
+	}
+	u.count(func(s *ShardStats) {
+		s.Brownout = on
+		if on {
+			s.BrownoutEnters++
+		}
+	})
 }
 
 func (u *unit) handleOp(op *shardOp) {
